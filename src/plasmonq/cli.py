@@ -27,18 +27,13 @@ from .fresnel import (
     KretschmannStack,
     NoInteriorExtremumError,
     _rsp,
+    _stack_rsp,
     inflection_index,
-    reflection_coefficient,
     sensitivity,
     tangential_wavevector,
     transfer_matrix_reflection,
 )
-from .materials import (
-    GOLD_DRUDE_LORENTZ,
-    drude_lorentz_permittivity,
-    gold_dispersion,
-    load_dispersion,
-)
+from .materials import GOLD_DRUDE_LORENTZ, gold_dispersion, load_dispersion
 from .metrology import ChannelEfficiencies, family_statistics
 from .quantum_states import (
     coherent_product,
@@ -268,7 +263,7 @@ def _resolve_metal(config: RunConfig):
     if name == "gold":
         return gold_dispersion()
     if name == "gold-dl":
-        return lambda wl: drude_lorentz_permittivity(GOLD_DRUDE_LORENTZ, wl)
+        return GOLD_DRUDE_LORENTZ
     path = Path(name)
     if not path.is_file():
         fallback_dir = os.environ.get(_DISPERSION_DIR_ENV)
@@ -343,6 +338,10 @@ def _emit(config: RunConfig, fieldnames: list[str], rows: list[dict]) -> None:
     else:
         records = [{k: _jsonable(row[k]) for k in fieldnames} for row in rows]
         text = json.dumps(records, indent=2, allow_nan=False) + "\n"
+    _write(config, text)
+
+
+def _write(config: RunConfig, text: str) -> None:
     if config.out == "-":
         sys.stdout.write(text)
     else:
@@ -356,9 +355,10 @@ def cmd_reflectance(config: RunConfig) -> int:
     rows = []
     for n in curves:
         stack = _make_stack(config, n, metal)
-        for theta in thetas:
-            refl = reflection_coefficient(stack, IncidenceGeometry(theta)).reflectance
-            rows.append({"n_analyte": n, "theta_deg": theta, "reflectance": refl})
+        k_x = tangential_wavevector(stack, IncidenceGeometry(thetas))
+        refl = abs(_stack_rsp(stack, k_x, n)) ** 2
+        rows += [{"n_analyte": n, "theta_deg": theta, "reflectance": value}
+                 for theta, value in zip(thetas, refl.tolist())]
     _emit(config, ["n_analyte", "theta_deg", "reflectance"], rows)
     return 0
 
@@ -366,13 +366,11 @@ def cmd_reflectance(config: RunConfig) -> int:
 def cmd_index_sweep(config: RunConfig) -> int:
     geom = IncidenceGeometry(config.theta_deg)
     grid = _index_grid(config)
-    metal = _resolve_metal(config)
-    rows = []
-    for n in grid:
-        stack = _make_stack(config, n, metal)
-        refl = reflection_coefficient(stack, geom).reflectance
-        slope = sensitivity(stack, geom, n, h=config.fd_step)
-        rows.append({"n_analyte": n, "reflectance": refl, "sensitivity": slope})
+    stack = _make_stack(config, (config.n_min + config.n_max) / 2.0)
+    refl = abs(_stack_rsp(stack, tangential_wavevector(stack, geom), grid)) ** 2
+    slopes = sensitivity(stack, geom, grid, h=config.fd_step)
+    rows = [{"n_analyte": n, "reflectance": value, "sensitivity": slope}
+            for n, value, slope in zip(grid, refl.tolist(), slopes.tolist())]
     _emit(config, ["n_analyte", "reflectance", "sensitivity"], rows)
     return 0
 
@@ -423,17 +421,9 @@ def cmd_precision(config: RunConfig) -> int:
     return 0
 
 
-def _check(name: str, max_err: float, tol: float, lines: list[str]) -> bool:
-    ok = max_err <= tol
-    lines.append(f"{'ok  ' if ok else 'FAIL'} {name}: max deviation {max_err:.3e} "
-                 f"(tolerance {tol:.1e})")
-    return ok
-
-
 def cmd_validate(config: RunConfig) -> int:
     rng = np.random.default_rng(config.seed)
-    lines: list[str] = []
-    all_ok = True
+    checks: list[tuple[str, float, float]] = []  # (name, max deviation, tolerance)
 
     # 1. closed-form moments vs brute-force loss channels
     states = [
@@ -458,7 +448,7 @@ def cmd_validate(config: RunConfig) -> int:
                 worst = max(worst,
                             abs(brute.mean - mean) / max(1.0, abs(mean)),
                             abs(brute.std - std) / max(1.0, std))
-    all_ok &= _check("moment formulas vs Fock-space oracle", worst, 1e-8, lines)
+    checks.append(("moment formulas vs Fock-space oracle", worst, 1e-8))
 
     # 2. layered-reflection equivalence: recursive form vs transfer matrices
     worst = 0.0
@@ -476,13 +466,12 @@ def cmd_validate(config: RunConfig) -> int:
             math.sqrt(eps1.real),
         ))
     for eps1, eps2, eps3, d, n1 in cases:
-        for theta in np.linspace(40.0, 89.0, 200):
-            k_x = k0 * n1 * math.sin(math.radians(theta))
-            direct = _rsp(eps1, eps2, eps3, d, k0, k_x)
-            matrix = transfer_matrix_reflection(
-                [(eps1, 0.0), (eps2, d), (eps3, 0.0)], k_x, stack.wavelength_nm)
-            worst = max(worst, abs(direct - matrix))
-    all_ok &= _check("recursive vs transfer-matrix reflection", worst, 1e-10, lines)
+        k_x = k0 * n1 * np.sin(np.radians(np.linspace(40.0, 89.0, 200)))
+        matrix = [transfer_matrix_reflection([(eps1, 0.0), (eps2, d), (eps3, 0.0)],
+                                             kx, stack.wavelength_nm)
+                  for kx in k_x.tolist()]
+        worst = max(worst, float(np.max(abs(_rsp(eps1, eps2, eps3, d, k0, k_x) - matrix))))
+    checks.append(("recursive vs transfer-matrix reflection", worst, 1e-10))
 
     # 3. enhancement ratio consistent with the moment formulas
     fault = 1.0 + 1e-3 if config.inject_fault else 1.0
@@ -501,33 +490,36 @@ def cmd_validate(config: RunConfig) -> int:
         lhs = value * metrology.signal_std(r_abs, eff, n, q, sig)
         rhs = metrology.signal_std(r_abs, eff, n, 0.0, 1.0)
         worst = max(worst, abs(lhs - rhs) / rhs)
-    all_ok &= _check("enhancement ratio vs moment formulas", worst, 1e-12, lines)
+    checks.append(("enhancement ratio vs moment formulas", worst, 1e-12))
 
     # 4. vanishing film thickness reduces to the bare prism/analyte interface
-    worst = 0.0
     thin = dataclasses.replace(stack, thickness_nm=1e-12)
-    for theta in np.linspace(40.0, 89.0, 100):
-        geom = IncidenceGeometry(theta)
-        k_x = tangential_wavevector(stack, geom)
-        two_layer = transfer_matrix_reflection(
-            [(stack.eps_prism, 0.0), (stack.eps_analyte, 0.0)],
-            k_x, stack.wavelength_nm)
-        worst = max(worst, abs(reflection_coefficient(thin, geom).r_sp - two_layer))
-    all_ok &= _check("thin-film limit vs bare interface", worst, 1e-9, lines)
+    k_x = tangential_wavevector(stack, IncidenceGeometry(np.linspace(40.0, 89.0, 100)))
+    two_layer = [transfer_matrix_reflection([(stack.eps_prism, 0.0), (stack.eps_analyte, 0.0)],
+                                            kx, stack.wavelength_nm)
+                 for kx in k_x.tolist()]
+    worst = float(np.max(abs(_stack_rsp(thin, k_x, thin.n_analyte) - two_layer)))
+    checks.append(("thin-film limit vs bare interface", worst, 1e-9))
 
-    # 5. passivity: reflectance never exceeds unity
-    worst = 0.0
-    for theta in np.linspace(config.theta_min, config.theta_max, 37):
-        geom = IncidenceGeometry(theta)
-        for n in np.linspace(config.n_min, config.n_max, 109):
-            refl = reflection_coefficient(
-                dataclasses.replace(stack, n_analyte=float(n)), geom).reflectance
-            worst = max(worst, refl - 1.0)
-    all_ok &= _check("passivity (reflectance <= 1)", worst, 0.0, lines)
+    # 5. passivity: reflectance never exceeds unity (one kernel call over the
+    # 37 x 109 grid; a NaN reflectance propagates into the deviation and fails)
+    k_x = tangential_wavevector(stack, IncidenceGeometry(
+        np.linspace(config.theta_min, config.theta_max, 37)))
+    refl = abs(_stack_rsp(stack, k_x[:, np.newaxis],
+                          np.linspace(config.n_min, config.n_max, 109))) ** 2
+    checks.append(("passivity (reflectance <= 1)", max(float(np.max(refl)) - 1.0, 0.0), 0.0))
 
-    report = "\n".join(lines) + "\n" + ("all checks passed\n" if all_ok
-                                        else "some checks FAILED\n")
-    sys.stdout.write(report)
+    records = [{"check": name, "max_deviation": dev, "tolerance": tol, "ok": dev <= tol}
+               for name, dev, tol in checks]
+    all_ok = all(record["ok"] for record in records)
+    if config.format == "json":
+        _emit(config, ["check", "max_deviation", "tolerance", "ok"], records)
+    else:
+        lines = [f"{'ok  ' if r['ok'] else 'FAIL'} {r['check']}: max deviation "
+                 f"{r['max_deviation']:.3e} (tolerance {r['tolerance']:.1e})\n"
+                 for r in records]
+        lines.append("all checks passed\n" if all_ok else "some checks FAILED\n")
+        _write(config, "".join(lines))
     return 0 if all_ok else 1
 
 

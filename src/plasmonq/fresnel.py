@@ -3,7 +3,9 @@
 Fields evolve as ``e^{-i omega t}``; normal wave-vector components take the
 branch ``Im(k_z) >= 0`` (ties broken toward ``Re(k_z) >= 0``) so evanescent
 and absorbed waves decay.  Lengths are in nm, wave vectors in rad/nm,
-angles in degrees.
+angles in degrees.  Sweeps take arrays: angles (through
+:class:`IncidenceGeometry`) and analyte indices broadcast through one numpy
+reflection kernel, so a whole grid costs one kernel call.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .materials import DispersionTable, DrudeLorentzParams  # noqa: F401  (duck-typed metals)
 
@@ -59,13 +63,18 @@ def resolve_permittivity(metal, wavelength_nm: float) -> complex:
 
 @dataclass(frozen=True)
 class IncidenceGeometry:
-    """Internal incidence angle in the prism, degrees, strictly inside (0, 90)."""
+    """Internal incidence angle in the prism, degrees, strictly inside (0, 90).
+
+    ``theta_deg`` may be an array of angles; every element is checked.
+    """
 
     theta_deg: float
 
     def __post_init__(self):
-        if not 0.0 < self.theta_deg < 90.0:
-            raise ValueError(f"theta_deg={self.theta_deg} must lie strictly in (0, 90)")
+        theta = np.asarray(self.theta_deg, dtype=float)
+        outside = theta[~((0.0 < theta) & (theta < 90.0))]
+        if outside.size:
+            raise ValueError(f"theta_deg={outside[0]} must lie strictly in (0, 90)")
 
 
 @dataclass(frozen=True)
@@ -128,29 +137,35 @@ class ReflectionResult:
         return a * a
 
 
-def tangential_wavevector(stack: KretschmannStack, geom: IncidenceGeometry) -> float:
+def tangential_wavevector(
+    stack: KretschmannStack, geom: IncidenceGeometry
+) -> float | np.ndarray:
     """Conserved in-plane wave vector k_x = (2 pi / lambda) n_prism sin(theta)."""
     k0 = 2.0 * math.pi / stack.wavelength_nm
-    return k0 * stack.n_prism * math.sin(math.radians(geom.theta_deg))
+    return k0 * stack.n_prism * np.sin(np.radians(geom.theta_deg))
+
+
+def _decaying_sqrt(z):
+    """Square root on the branch ``Im >= 0`` (ties toward ``Re >= 0``); broadcasts."""
+    kz = np.sqrt(np.asarray(z, dtype=complex))
+    flip = (kz.imag < 0.0) | ((kz.imag == 0.0) & (kz.real < 0.0))
+    return np.where(flip, -kz, kz)[()]  # [()] turns a 0-d result into a scalar
 
 
 def wavevector_z(epsilon: complex, k_x: float, wavelength_nm: float) -> complex:
     """Normal component sqrt(eps k0^2 - k_x^2) on the decaying branch."""
     k0 = 2.0 * math.pi / wavelength_nm
-    kz = cmath.sqrt(epsilon * k0 * k0 - k_x * k_x)
-    if kz.imag < 0.0 or (kz.imag == 0.0 and kz.real < 0.0):
-        kz = -kz
-    return kz
+    return complex(_decaying_sqrt(epsilon * k0 * k0 - k_x * k_x))
 
 
 def interface_reflection(
     eps_l: complex, eps_m: complex, k_lz: complex, k_mz: complex, pair: str = "l|m"
 ) -> complex:
-    """Single-interface TM (p-polarised) amplitude coefficient r_lm."""
+    """Single-interface TM (p-polarised) amplitude coefficient r_lm; broadcasts."""
     a = k_lz / eps_l
     b = k_mz / eps_m
     den = a + b
-    if den == 0:
+    if np.count_nonzero(den == 0):
         raise FresnelSingularityError(
             f"vanishing TM admittance sum at interface {pair}"
         )
@@ -158,39 +173,45 @@ def interface_reflection(
 
 
 def _rsp(eps1, eps2, eps3, thickness_nm, k0, k_x):
-    """Airy three-layer amplitude with pre-resolved permittivities."""
+    """Airy three-layer amplitude with pre-resolved permittivities.
+
+    Broadcasts over arrays of ``eps3`` and ``k_x``; scalar inputs give a
+    numpy scalar.
+    """
     kk = k0 * k0
-    k1z = cmath.sqrt(eps1 * kk - k_x * k_x)
-    if k1z.imag < 0.0 or (k1z.imag == 0.0 and k1z.real < 0.0):
-        k1z = -k1z
-    k2z = cmath.sqrt(eps2 * kk - k_x * k_x)
-    if k2z.imag < 0.0 or (k2z.imag == 0.0 and k2z.real < 0.0):
-        k2z = -k2z
-    k3z = cmath.sqrt(eps3 * kk - k_x * k_x)
-    if k3z.imag < 0.0 or (k3z.imag == 0.0 and k3z.real < 0.0):
-        k3z = -k3z
+    kx2 = k_x * k_x
+    k1z = _decaying_sqrt(eps1 * kk - kx2)
+    k2z = _decaying_sqrt(eps2 * kk - kx2)
+    k3z = _decaying_sqrt(eps3 * kk - kx2)
     r12 = interface_reflection(eps1, eps2, k1z, k2z, pair="1|2")
     r23 = interface_reflection(eps2, eps3, k2z, k3z, pair="2|3")
-    ph = cmath.exp(2j * k2z * thickness_nm)
+    ph = np.exp(2j * k2z * thickness_nm)
     den = ph * r23 * r12 + 1.0
-    if den == 0:
+    if np.count_nonzero(den == 0):
         raise FresnelSingularityError("vanishing composite denominator for stack 1|2|3")
     return (ph * r23 + r12) / den
 
 
+def _stack_rsp(stack: KretschmannStack, k_x, n_analyte):
+    """``r_sp`` of ``stack`` with its analyte index set to ``n_analyte``.
+
+    Broadcasts over ``k_x`` and ``n_analyte``; every index must lie in
+    ``(0, n_prism)``.
+    """
+    n = np.asarray(n_analyte, dtype=float)
+    outside = n[~((0.0 < n) & (n < stack.n_prism))]
+    if outside.size:
+        raise ValueError(
+            f"n_analyte={outside[0]} must lie in (0, n_prism={stack.n_prism})"
+        )
+    return _rsp(stack.eps_prism, stack.metal_permittivity, n * n,
+                stack.thickness_nm, 2.0 * math.pi / stack.wavelength_nm, k_x)
+
+
 def reflection_coefficient(stack: KretschmannStack, geom: IncidenceGeometry) -> ReflectionResult:
     """Three-layer TM reflection coefficient of the stack at ``geom``."""
-    k0 = 2.0 * math.pi / stack.wavelength_nm
-    k_x = tangential_wavevector(stack, geom)
-    r = _rsp(
-        stack.eps_prism,
-        stack.metal_permittivity,
-        stack.eps_analyte,
-        stack.thickness_nm,
-        k0,
-        k_x,
-    )
-    return ReflectionResult(r_sp=r)
+    r = _stack_rsp(stack, tangential_wavevector(stack, geom), stack.n_analyte)
+    return ReflectionResult(r_sp=complex(r))
 
 
 def transfer_matrix_reflection(layers, k_x: float, wavelength_nm: float) -> complex:
@@ -251,9 +272,18 @@ def _golden_minimize(f, a: float, b: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def _stack_constants(stack: KretschmannStack):
-    k0 = 2.0 * math.pi / stack.wavelength_nm
-    return stack.eps_prism, stack.metal_permittivity, stack.eps_analyte, k0
+def _grid_minimum(f, lo: float, hi: float, grid_points: int, tol: float, what: str) -> float:
+    """Minimum of ``f`` on [lo, hi]: one array call of ``f`` on a uniform grid,
+    then golden section on the two cells around the grid minimum.
+
+    Raises :class:`NoInteriorExtremumError` when the grid minimum sits on a
+    boundary.
+    """
+    step = (hi - lo) / (grid_points - 1)
+    i_min = int(np.argmin(f(lo + np.arange(grid_points) * step)))
+    if i_min == 0 or i_min == grid_points - 1:
+        raise NoInteriorExtremumError(f"{what} at grid boundary ({lo + i_min * step:.6f})")
+    return _golden_minimize(f, lo + (i_min - 1) * step, lo + (i_min + 1) * step, tol)
 
 
 def resonance_angle(
@@ -273,45 +303,31 @@ def resonance_angle(
         raise ValueError(f"theta_range {theta_range} must be ordered inside (0, 90)")
     if grid_points < 3:
         raise ValueError("grid_points must be at least 3")
-    eps1, eps2, eps3, k0 = _stack_constants(stack)
-    kxn = k0 * stack.n_prism
-
-    def refl(theta_deg: float) -> float:
-        r = _rsp(eps1, eps2, eps3, stack.thickness_nm, k0,
-                 kxn * math.sin(math.radians(theta_deg)))
-        return (r * r.conjugate()).real
-
-    step = (hi - lo) / (grid_points - 1)
-    values = [refl(lo + i * step) for i in range(grid_points)]
-    i_min = min(range(grid_points), key=values.__getitem__)
-    if i_min == 0 or i_min == grid_points - 1:
-        raise NoInteriorExtremumError(
-            f"reflectance minimum at theta grid boundary ({lo + i_min * step:.4f} deg)"
-        )
-    return _golden_minimize(refl, lo + (i_min - 1) * step, lo + (i_min + 1) * step, tol)
+    return _grid_minimum(
+        lambda theta: abs(_stack_rsp(
+            stack, tangential_wavevector(stack, IncidenceGeometry(theta)), stack.n_analyte
+        )) ** 2,
+        lo, hi, grid_points, tol, "reflectance minimum at theta",
+    )
 
 
 def sensitivity(
     stack: KretschmannStack,
     geom: IncidenceGeometry,
-    n_analyte: float,
+    n_analyte: float | np.ndarray,
     h: float = 1e-6,
-) -> float:
-    """Central-difference derivative of reflectance with respect to n_analyte."""
+) -> float | np.ndarray:
+    """Central-difference derivative of reflectance with respect to n_analyte.
+
+    ``n_analyte`` may be an array; every ``n_analyte +- h`` must lie in
+    ``(0, n_prism)``.
+    """
     if h <= 0.0:
         raise ValueError("finite-difference step h must be positive")
-    if not (0.0 < n_analyte - h and n_analyte + h < stack.n_prism):
-        raise ValueError(
-            f"n_analyte={n_analyte} with step h={h} leaves (0, n_prism) during differencing"
-        )
-    eps1, eps2, _, k0 = _stack_constants(stack)
-    k_x = tangential_wavevector(stack, geom)
-
-    def refl(n: float) -> float:
-        r = _rsp(eps1, eps2, complex(n * n), stack.thickness_nm, k0, k_x)
-        return (r * r.conjugate()).real
-
-    return (refl(n_analyte + h) - refl(n_analyte - h)) / (2.0 * h)
+    n = np.asarray(n_analyte, dtype=float)
+    r = _stack_rsp(stack, tangential_wavevector(stack, geom), np.stack([n + h, n - h]))
+    refl = abs(r) ** 2
+    return (refl[0] - refl[1]) / (2.0 * h)
 
 
 # The reflectance has a square-root cusp where the analyte turns propagating
@@ -349,23 +365,7 @@ def inflection_index(
             f"no total-internal-reflection window above n={lo} at "
             f"theta={geom.theta_deg} deg (crossover at {n_critical:.6f})"
         )
-    eps1, eps2, _, k0 = _stack_constants(stack)
-    k_x = tangential_wavevector(stack, geom)
-
-    def refl(n: float) -> float:
-        r = _rsp(eps1, eps2, complex(n * n), stack.thickness_nm, k0, k_x)
-        return (r * r.conjugate()).real
-
-    def neg_slope_mag(n: float) -> float:
-        return -abs(refl(n + h) - refl(n - h)) / (2.0 * h)
-
-    step = (hi - lo) / (grid_points - 1)
-    values = [neg_slope_mag(lo + i * step) for i in range(grid_points)]
-    i_min = min(range(grid_points), key=values.__getitem__)
-    if i_min == 0 or i_min == grid_points - 1:
-        raise NoInteriorExtremumError(
-            f"steepest flank at n grid boundary ({lo + i_min * step:.6f})"
-        )
-    return _golden_minimize(
-        neg_slope_mag, lo + (i_min - 1) * step, lo + (i_min + 1) * step, tol
+    return _grid_minimum(
+        lambda n: -abs(sensitivity(stack, geom, n, h)),
+        lo, hi, grid_points, tol, "steepest flank at n",
     )

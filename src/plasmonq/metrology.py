@@ -20,8 +20,7 @@ from .fresnel import (
     IncidenceGeometry,
     KretschmannStack,
     NoInteriorExtremumError,
-    _rsp,
-    _stack_constants,
+    _stack_rsp,
     inflection_index,
     tangential_wavevector,
 )
@@ -212,11 +211,6 @@ def family_statistics(family: str, n_photons: float) -> PhotonStatistics:
     return PhotonStatistics(mean_a=n, mean_b=n, q_mandel=q, sigma=s, j_corr=j)
 
 
-def _reflection_magnitude(stack: KretschmannStack, k_x: float, n_analyte: float) -> float:
-    eps1, eps2, _, k0 = _stack_constants(stack)
-    return abs(_rsp(eps1, eps2, complex(n_analyte * n_analyte), stack.thickness_nm, k0, k_x))
-
-
 def precision(
     stack: KretschmannStack,
     geom: IncidenceGeometry,
@@ -233,26 +227,16 @@ def precision(
     """
     if h <= 0.0:
         raise ValueError("finite-difference step h must be positive")
-    if not (0.0 < n_analyte - h and n_analyte + h < stack.n_prism):
-        raise ValueError(
-            f"n_analyte={n_analyte} with step h={h} leaves (0, n_prism) during differencing"
-        )
     n_photons = state_stats.mean_a
-    k_x = tangential_wavevector(stack, geom)
-    mean_hi = signal_mean(_reflection_magnitude(stack, k_x, n_analyte + h), eff, n_photons)
-    mean_lo = signal_mean(_reflection_magnitude(stack, k_x, n_analyte - h), eff, n_photons)
-    slope = (mean_hi - mean_lo) / (2.0 * h)
+    r_lo, r_mid, r_hi = abs(_stack_rsp(
+        stack, tangential_wavevector(stack, geom), [n_analyte - h, n_analyte, n_analyte + h]
+    )).tolist()
+    slope = (signal_mean(r_hi, eff, n_photons) - signal_mean(r_lo, eff, n_photons)) / (2.0 * h)
     if slope == 0.0:
         raise DegenerateOperatingPointError(
             f"mean signal is stationary at n_analyte={n_analyte}; no index information"
         )
-    noise = signal_std(
-        _reflection_magnitude(stack, k_x, n_analyte),
-        eff,
-        n_photons,
-        state_stats.q_mandel,
-        state_stats.sigma,
-    )
+    noise = signal_std(r_mid, eff, n_photons, state_stats.q_mandel, state_stats.sigma)
     return PrecisionResult(delta_n=noise / abs(slope), signal_slope=slope, noise=noise)
 
 
@@ -268,19 +252,12 @@ def sweep_ratio(
     Points where the ratio is undefined are reported as warnings and carry
     NaN; the sweep always returns one pair per grid point.
     """
-    k_x = tangential_wavevector(stack, geom)
+    grid = [float(n) for n in n_grid]
+    r_abs = abs(_stack_rsp(stack, tangential_wavevector(stack, geom), grid))
     out: list[tuple[float, float]] = []
-    for n in n_grid:
-        n = float(n)
-        if not 0.0 < n < stack.n_prism:
-            raise ValueError(f"grid point n={n} outside the physical range (0, n_prism)")
+    for n, r in zip(grid, r_abs.tolist()):
         try:
-            value = ratio(
-                _reflection_magnitude(stack, k_x, n),
-                eta,
-                state_stats.q_mandel,
-                state_stats.sigma,
-            )
+            value = ratio(r, eta, state_stats.q_mandel, state_stats.sigma)
         except (MetrologyDomainError, DivergenceError) as exc:
             warnings.warn(f"n_analyte={n}: {exc}", stacklevel=2)
             value = math.nan

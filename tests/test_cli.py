@@ -218,6 +218,24 @@ def test_validate_detects_injected_fault(capsys):
     assert "FAIL" in out
 
 
+def test_validate_honours_out_and_format(tmp_path, capsys):
+    text_path = tmp_path / "report.txt"
+    code, out, _ = run_cli(capsys, "validate", "--out", str(text_path))
+    assert code == 0 and out == ""
+    assert "all checks passed" in text_path.read_text()
+
+    json_path = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, "validate", "--inject-fault", "--format", "json",
+                           "--out", str(json_path))
+    assert code == 1 and out == ""
+    records = json.loads(json_path.read_text())
+    assert len(records) == 5
+    assert all(list(r) == ["check", "max_deviation", "tolerance", "ok"] for r in records)
+    assert [r["ok"] for r in records] == [True, True, False, True, True]
+    for record in records:
+        assert record["ok"] == (record["max_deviation"] <= record["tolerance"])
+
+
 def test_module_invocation():
     result = subprocess.run(
         [sys.executable, "-m", "plasmonq", "inflection", "--theta-steps", "2"],

@@ -5,6 +5,7 @@ import pytest
 
 from plasmonq.fock_oracle import (
     JointNumberDistribution,
+    _thinning_kernel,
     binomial_thinning,
     joint_distribution,
     oracle_measurement,
@@ -88,6 +89,18 @@ def test_thinning_scales_marginal_means_linearly():
     )
 
 
+def test_thinning_kernel_matches_binomial_formula():
+    """The Pascal-recurrence kernel against C(n, k) T^k (1-T)^(n-k) by
+    integer binomials; entries lie in [0, 1], so a few float64 ulps of 1."""
+    for size in (1, 2, 60):
+        for t in (0.0, 0.05, 0.37, 0.9, 1.0):
+            reference = np.zeros((size, size))
+            for n in range(size):
+                for k in range(n + 1):
+                    reference[k, n] = math.comb(n, k) * t**k * (1.0 - t) ** (n - k)
+            assert np.max(np.abs(_thinning_kernel(size, t) - reference)) <= 1e-15
+
+
 def test_single_photon_thinning_by_hand():
     dist = binomial_thinning(joint_distribution(twin_fock(1)), 0.5, 1.0)
     assert dist.probs[0, 1] == pytest.approx(0.5, abs=1e-15)
@@ -105,6 +118,8 @@ def test_single_photon_thinning_by_hand():
         lambda: tmsv(1.0),
         lambda: noon(2),
         lambda: squeezed_product(0.5),
+        # auto-cutoff size ~1117: C(n, k) there exceeds the float range
+        lambda: tmsv(48.0),
     ],
 )
 @pytest.mark.parametrize("r2", [0.05, 0.5, 0.95])

@@ -208,6 +208,27 @@ def test_sensitivity_rejects_step_leaving_domain():
         sensitivity(stack, GEOM_73, PRISM - 1e-9, h=1e-6)
 
 
+def test_sweeps_broadcast_over_arrays():
+    """Arrays of analyte indices and angles go through one kernel call and
+    agree with the scalar calls; every element is domain-checked."""
+    stack = make_stack()
+    grid = np.linspace(1.333, 1.4422, 50)
+    slopes = sensitivity(stack, GEOM_73, grid)
+    assert slopes.shape == grid.shape
+    for n, slope in zip(grid, slopes):
+        assert slope == pytest.approx(sensitivity(stack, GEOM_73, float(n)),
+                                      rel=1e-9, abs=1e-9)
+    thetas = np.linspace(65.5, 83.5, 19)
+    k_x = tangential_wavevector(stack, IncidenceGeometry(thetas))
+    for theta, kx in zip(thetas, k_x):
+        assert kx == pytest.approx(
+            tangential_wavevector(stack, IncidenceGeometry(float(theta))), rel=1e-15)
+    with pytest.raises(ValueError, match="theta_deg=95"):
+        IncidenceGeometry(np.array([70.0, 95.0]))
+    with pytest.raises(ValueError):
+        sensitivity(stack, GEOM_73, np.array([1.38, PRISM]))
+
+
 def test_golden_minimizer_finds_planted_optimum():
     # slope magnitude of a synthetic smooth step peaks exactly at the plant
     plant = 1.38

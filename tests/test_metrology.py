@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -117,6 +118,18 @@ def test_twin_fock_divergence_limits():
         ratio_twin_fock(0.0)
     with pytest.raises(DivergenceError):
         ratio_twin_fock(1.0)
+
+
+def test_twin_fock_closed_form_is_accurate_at_small_reflectance():
+    """Pinned against 50-digit arithmetic where the general ``ratio`` loses
+    digits: its denominator cancels down to ~|r|^2, which costs it 2.2e-5
+    relative at |r| = 1e-6, so the dedicated closed form must stay."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for r_abs in (1e-6, 1e-4, 1e-2):
+            r2 = Decimal(r_abs) ** 2
+            exact = float(((1 + r2) / (r2 - r2 * r2)).sqrt())
+            assert ratio_twin_fock(r_abs) == pytest.approx(exact, rel=1e-12)
 
 
 def test_tmsv_closed_form_and_limits():
