@@ -46,7 +46,6 @@ from .quantum_states import (
     FockCoefficients,
     PhotonStatistics,
     coherent_product,
-    is_path_symmetric,
     is_twin_mode,
     noon,
     squeezed_product,
@@ -85,7 +84,6 @@ __all__ = [
     "squeezed_product",
     "statistics",
     "is_twin_mode",
-    "is_path_symmetric",
     # metrology
     "ChannelEfficiencies",
     "MeasurementStats",

@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +33,7 @@ from .fresnel import (
     transfer_matrix_reflection,
 )
 from .materials import GOLD_DRUDE_LORENTZ, gold_dispersion, load_dispersion
-from .metrology import ChannelEfficiencies, family_statistics
+from .metrology import STATE_NAMES, ChannelEfficiencies, family_statistics, state_family
 from .quantum_states import (
     coherent_product,
     noon,
@@ -44,20 +43,14 @@ from .quantum_states import (
     twin_fock,
 )
 
-__all__ = ["ConfigError", "RunConfig", "main"]
+__all__ = ["ConfigError", "main"]
 
 _DISPERSION_DIR_ENV = "PLASMON_DISPERSION_DIR"
 
-_STATE_CHOICES = ("coherent", "twin-fock", "tmsv", "noon", "squeezed-product")
-
-# Default operating point every subcommand inherits unless overridden.
-_PRISM_INDEX = 1.5107
-_WAVELENGTH_NM = 810.0
-_FILM_THICKNESS_NM = 50.0
-_THETA_DEG = 73.0
-
-# Angles below ~66.5 deg put the steep flank under the BSA window floor, so
-# the operating-point *search* opens wider than the measurement grid.
+# Two floors for the analyte index: the measurement grids start at the BSA
+# window floor, but angles below ~66.5 deg put the steep flank under it, so
+# the operating-point *search* opens wider.  An explicit --n-min sets both.
+_GRID_N_MIN = 1.333
 _SEARCH_N_MIN = 1.30
 
 
@@ -65,102 +58,46 @@ class ConfigError(ValueError):
     """Bad config file, flag combination, or missing input."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved settings for one command invocation."""
-
-    n_prism: float = _PRISM_INDEX
-    wavelength_nm: float = _WAVELENGTH_NM
-    thickness_nm: float = _FILM_THICKNESS_NM
-    dispersion: str = "gold"
-    theta_deg: float = _THETA_DEG
-    theta_min: float = 65.5
-    theta_max: float = 83.5
-    theta_steps: int = 361
-    n_min: float = 1.333
-    n_max: float = 1.4422
-    n_steps: int = 1093
-    n_analytes: tuple[float, ...] | None = None
-    state: str = "twin-fock"
-    photons: float = 1.0
-    eta: float = 1.0
-    eta_a: float | None = None
-    eta_b: float | None = None
-    fd_step: float = 1e-6
-    grid_points: int = 2001
-    seed: int = 0
-    inject_fault: bool = False
-    out: str = "-"
-    format: str = "csv"
-    # which keys were set explicitly (config file or flag), for defaults that
-    # depend on whether the user spoke up
-    explicit: frozenset = frozenset()
-
-
-_CONFIG_KEYS = {
-    "n_prism": float,
-    "wavelength": float,
-    "thickness": float,
-    "dispersion": str,
-    "theta": float,
-    "theta_min": float,
-    "theta_max": float,
-    "theta_steps": int,
-    "n_min": float,
-    "n_max": float,
-    "n_steps": int,
-    "n_analyte": None,  # scalar or list
-    "state": str,
-    "photons": float,
-    "eta": float,
-    "eta_a": float,
-    "eta_b": float,
-    "fd_step": float,
-    "grid_points": int,
-    "seed": int,
-    "out": str,
-    "format": str,
-}
-
-_KEY_TO_FIELD = {
-    "wavelength": "wavelength_nm",
-    "thickness": "thickness_nm",
-    "theta": "theta_deg",
-    "n_analyte": "n_analytes",
-}
-
-
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The command parser and the common parser whose dests are the config keys."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="flat JSON config file")
-    common.add_argument("--out", metavar="PATH", help="output file, '-' for stdout")
-    common.add_argument("--format", choices=("csv", "json"), help="output format")
-    common.add_argument("--dispersion", metavar="NAME|PATH",
+    common.add_argument("--out", metavar="PATH", default="-",
+                        help="output file, '-' for stdout")
+    common.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="output format")
+    common.add_argument("--dispersion", metavar="NAME|PATH", default="gold",
                         help="'gold' (bundled table), 'gold-dl' (oscillator model) "
                              "or a CSV path; bare names are also looked up under "
                              f"${_DISPERSION_DIR_ENV}")
-    common.add_argument("--n-prism", type=float, help="prism refractive index")
-    common.add_argument("--wavelength", type=float, metavar="NM", help="vacuum wavelength")
-    common.add_argument("--thickness", type=float, metavar="NM", help="metal film thickness")
-    common.add_argument("--theta", type=float, metavar="DEG", help="incidence angle")
-    common.add_argument("--theta-min", type=float, metavar="DEG")
-    common.add_argument("--theta-max", type=float, metavar="DEG")
-    common.add_argument("--theta-steps", type=int, metavar="K")
+    common.add_argument("--n-prism", type=float, default=1.5107, help="prism refractive index")
+    common.add_argument("--wavelength", type=float, default=810.0, metavar="NM",
+                        help="vacuum wavelength")
+    common.add_argument("--thickness", type=float, default=50.0, metavar="NM",
+                        help="metal film thickness")
+    common.add_argument("--theta", type=float, default=73.0, metavar="DEG",
+                        help="incidence angle")
+    common.add_argument("--theta-min", type=float, default=65.5, metavar="DEG")
+    common.add_argument("--theta-max", type=float, default=83.5, metavar="DEG")
+    common.add_argument("--theta-steps", type=int, default=361, metavar="K")
     common.add_argument("--n-min", type=float, metavar="RIU",
                         help="index grid floor (sweeps) or search floor "
                              "(inflection/precision, default 1.30 there)")
-    common.add_argument("--n-max", type=float, metavar="RIU")
-    common.add_argument("--n-steps", type=int, metavar="K")
+    common.add_argument("--n-max", type=float, default=1.4422, metavar="RIU")
+    common.add_argument("--n-steps", type=int, default=1093, metavar="K")
     common.add_argument("--n-analyte", type=float, metavar="RIU", action="append",
-                        dest="n_analyte", help="repeatable; analyte curve indices")
-    common.add_argument("--state", choices=_STATE_CHOICES, help="input beam family")
-    common.add_argument("--photons", type=float, metavar="N", help="mean photons per mode")
-    common.add_argument("--eta", type=float, help="balanced detection efficiency")
+                        help="repeatable; analyte curve indices")
+    common.add_argument("--state", choices=STATE_NAMES, help="input beam family")
+    common.add_argument("--photons", type=float, default=1.0, metavar="N",
+                        help="mean photons per mode")
+    common.add_argument("--eta", type=float, default=1.0, help="balanced detection efficiency")
     common.add_argument("--eta-a", type=float, help="sensing-arm detection efficiency")
     common.add_argument("--eta-b", type=float, help="reference-arm detection efficiency")
-    common.add_argument("--fd-step", type=float, metavar="H", help="finite-difference step, RIU")
-    common.add_argument("--grid-points", type=int, metavar="K", help="operating-point scan density")
-    common.add_argument("--seed", type=int, help="RNG seed for randomized validation")
+    common.add_argument("--fd-step", type=float, default=1e-6, metavar="H",
+                        help="finite-difference step, RIU")
+    common.add_argument("--grid-points", type=int, default=2001, metavar="K",
+                        help="operating-point scan density")
+    common.add_argument("--seed", type=int, default=0, help="RNG seed for randomized validation")
 
     parser = argparse.ArgumentParser(
         prog="plasmonq",
@@ -179,87 +116,83 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="index precision at the steepest flank vs incidence angle")
     validate = sub.add_parser("validate", parents=[common],
                               help="cross-check closed forms against brute-force oracles")
-    validate.add_argument("--inject-fault", action="store_true", default=None,
+    validate.add_argument("--inject-fault", action="store_true",
                           help="negative control: perturb one closed form by 1e-3")
-    return parser
+    return parser, common
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    values: dict = {}
-    explicit: set[str] = set()
+def _read_config(path: str, common: argparse.ArgumentParser) -> dict:
+    """File values keyed by dest, each cast with its option's type.
 
-    if args.config:
-        path = Path(args.config)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
+    A key is any common option's dest except ``config``; ``n_analyte`` may
+    be a scalar or a list.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"config file not found: {path}")
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    actions = {action.dest: action for action in common._actions if action.dest != "config"}
+    values = {}
+    for key, raw in doc.items():
+        if key not in actions:
+            raise ConfigError(f"unknown config key {key!r}")
+        cast = actions[key].type or str
         try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
-        for key, raw in doc.items():
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-            field = _KEY_TO_FIELD.get(key, key)
             if key == "n_analyte":
-                seq = raw if isinstance(raw, list) else [raw]
-                values[field] = tuple(float(v) for v in seq)
+                values[key] = [cast(v) for v in (raw if isinstance(raw, list) else [raw])]
             else:
-                caster = _CONFIG_KEYS[key]
-                try:
-                    values[field] = caster(raw)
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"config key {key!r}: {exc}") from exc
-            explicit.add(field)
-
-    for key in _CONFIG_KEYS:
-        if key == "n_analyte":
-            flag_value = getattr(args, "n_analyte", None)
-            if flag_value is not None:
-                values["n_analytes"] = tuple(float(v) for v in flag_value)
-                explicit.add("n_analytes")
-            continue
-        field = _KEY_TO_FIELD.get(key, key)
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            values[field] = flag_value
-            explicit.add(field)
-    if getattr(args, "inject_fault", None):
-        values["inject_fault"] = True
-        explicit.add("inject_fault")
-
-    config = RunConfig(**values, explicit=frozenset(explicit))
-    _validate_config(config)
-    return config
+                values[key] = cast(raw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config key {key!r}: {exc}") from exc
+    return values
 
 
-def _validate_config(config: RunConfig):
-    if config.format not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {config.format!r}")
-    if config.theta_steps < 1 or config.n_steps < 1:
+def _parse(argv) -> argparse.Namespace:
+    """Parse flags over the config file's values over the parser's defaults."""
+    parser, common = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        values = _read_config(args.config, common)
+        # an append action would add flags to a list default, so the file's
+        # curves apply only when no --n-analyte flag was given
+        curves = values.pop("n_analyte", None)
+        common.set_defaults(**values)  # the subparsers share these actions
+        args = parser.parse_args(argv)
+        if args.n_analyte is None:
+            args.n_analyte = curves
+    _validate(args)
+    return args
+
+
+def _validate(args: argparse.Namespace):
+    if args.format not in ("csv", "json"):
+        raise ConfigError(f"format must be csv or json, got {args.format!r}")
+    if args.theta_steps < 1 or args.n_steps < 1:
         raise ConfigError("grids need at least one point")
-    if config.theta_min > config.theta_max or config.n_min > config.n_max:
+    n_min, n_max = _index_range(args)
+    if args.theta_min > args.theta_max or n_min > n_max:
         raise ConfigError("grid bounds are reversed")
-    if config.photons <= 0.0:
-        raise ConfigError(f"photons must be positive, got {config.photons}")
+    if args.photons <= 0.0:
+        raise ConfigError(f"photons must be positive, got {args.photons}")
     for name in ("eta", "eta_a", "eta_b"):
-        value = getattr(config, name)
+        value = getattr(args, name)
         if value is not None and not 0.0 <= value <= 1.0:
             raise ConfigError(f"{name} must lie in [0, 1], got {value}")
-    if config.grid_points < 3:
+    if args.grid_points < 3:
         raise ConfigError("grid_points must be at least 3")
-    if config.fd_step <= 0.0:
+    if args.fd_step <= 0.0:
         raise ConfigError("fd_step must be positive")
-    key = config.state.strip().lower().replace("_", "-")
-    if key not in _STATE_CHOICES:
-        raise ConfigError(
-            f"unknown state {config.state!r}; choose from {', '.join(_STATE_CHOICES)}"
-        )
+    if args.state is not None:
+        state_family(args.state)
 
 
-def _resolve_metal(config: RunConfig):
-    name = config.dispersion
+def _resolve_metal(args: argparse.Namespace):
+    name = args.dispersion
     if name == "gold":
         return gold_dispersion()
     if name == "gold-dl":
@@ -282,44 +215,45 @@ def _resolve_metal(config: RunConfig):
         return load_dispersion(fh, source_label=str(path))
 
 
-def _make_stack(config: RunConfig, n_analyte: float, metal=None) -> KretschmannStack:
+def _make_stack(args: argparse.Namespace, n_analyte: float, metal=None) -> KretschmannStack:
     return KretschmannStack(
-        n_prism=config.n_prism,
-        metal=_resolve_metal(config) if metal is None else metal,
-        thickness_nm=config.thickness_nm,
+        n_prism=args.n_prism,
+        metal=_resolve_metal(args) if metal is None else metal,
+        thickness_nm=args.thickness,
         n_analyte=n_analyte,
-        wavelength_nm=config.wavelength_nm,
+        wavelength_nm=args.wavelength,
     )
 
 
-def _efficiencies(config: RunConfig) -> ChannelEfficiencies:
-    eta_a = config.eta if config.eta_a is None else config.eta_a
-    eta_b = config.eta if config.eta_b is None else config.eta_b
-    return ChannelEfficiencies(eta_a, eta_b)
+def _sweep_stack(args: argparse.Namespace) -> KretschmannStack:
+    """Stack at the index grid's midpoint, for sweeps that pass n per point."""
+    n_min, n_max = _index_range(args)
+    return _make_stack(args, (n_min + n_max) / 2.0)
 
 
-def _balanced_eta(config: RunConfig) -> float:
-    eff = _efficiencies(config)
-    if eff.eta_a != eff.eta_b:
+def _balanced_eta(args: argparse.Namespace) -> float:
+    eta_a = args.eta if args.eta_a is None else args.eta_a
+    eta_b = args.eta if args.eta_b is None else args.eta_b
+    if eta_a != eta_b:
         raise ConfigError(
             "the enhancement ratio is defined for balanced detection; "
             "use --eta instead of distinct --eta-a/--eta-b"
         )
-    return eff.eta_a
+    return eta_a
 
 
-def _theta_grid(config: RunConfig) -> list[float]:
-    return [float(v) for v in np.linspace(config.theta_min, config.theta_max,
-                                          config.theta_steps)]
+def _theta_grid(args: argparse.Namespace) -> list[float]:
+    return [float(v) for v in np.linspace(args.theta_min, args.theta_max,
+                                          args.theta_steps)]
 
 
-def _index_grid(config: RunConfig) -> list[float]:
-    return [float(v) for v in np.linspace(config.n_min, config.n_max, config.n_steps)]
+def _index_range(args: argparse.Namespace, floor: float = _GRID_N_MIN) -> tuple[float, float]:
+    """``(n_min, n_max)``, with ``floor`` standing in for an unset --n-min."""
+    return (floor if args.n_min is None else args.n_min, args.n_max)
 
 
-def _search_range(config: RunConfig) -> tuple[float, float]:
-    floor = config.n_min if "n_min" in config.explicit else _SEARCH_N_MIN
-    return (floor, config.n_max)
+def _index_grid(args: argparse.Namespace) -> list[float]:
+    return [float(v) for v in np.linspace(*_index_range(args), args.n_steps)]
 
 
 def _jsonable(value):
@@ -328,8 +262,8 @@ def _jsonable(value):
     return value
 
 
-def _emit(config: RunConfig, fieldnames: list[str], rows: list[dict]) -> None:
-    if config.format == "csv":
+def _emit(args: argparse.Namespace, fieldnames: list[str], rows: list[dict]) -> None:
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
         writer.writeheader()
@@ -338,91 +272,90 @@ def _emit(config: RunConfig, fieldnames: list[str], rows: list[dict]) -> None:
     else:
         records = [{k: _jsonable(row[k]) for k in fieldnames} for row in rows]
         text = json.dumps(records, indent=2, allow_nan=False) + "\n"
-    _write(config, text)
+    _write(args, text)
 
 
-def _write(config: RunConfig, text: str) -> None:
-    if config.out == "-":
+def _write(args: argparse.Namespace, text: str) -> None:
+    if args.out == "-":
         sys.stdout.write(text)
     else:
-        Path(config.out).write_text(text, encoding="utf-8")
+        Path(args.out).write_text(text, encoding="utf-8")
 
 
-def cmd_reflectance(config: RunConfig) -> int:
-    curves = config.n_analytes if config.n_analytes else (1.39, 1.395)
-    thetas = _theta_grid(config)
-    metal = _resolve_metal(config)
+def cmd_reflectance(args: argparse.Namespace) -> int:
+    curves = args.n_analyte if args.n_analyte else (1.39, 1.395)
+    thetas = _theta_grid(args)
+    metal = _resolve_metal(args)
     rows = []
     for n in curves:
-        stack = _make_stack(config, n, metal)
+        stack = _make_stack(args, n, metal)
         k_x = tangential_wavevector(stack, IncidenceGeometry(thetas))
         refl = abs(_stack_rsp(stack, k_x, n)) ** 2
         rows += [{"n_analyte": n, "theta_deg": theta, "reflectance": value}
                  for theta, value in zip(thetas, refl.tolist())]
-    _emit(config, ["n_analyte", "theta_deg", "reflectance"], rows)
+    _emit(args, ["n_analyte", "theta_deg", "reflectance"], rows)
     return 0
 
 
-def cmd_index_sweep(config: RunConfig) -> int:
-    geom = IncidenceGeometry(config.theta_deg)
-    grid = _index_grid(config)
-    stack = _make_stack(config, (config.n_min + config.n_max) / 2.0)
+def cmd_index_sweep(args: argparse.Namespace) -> int:
+    geom = IncidenceGeometry(args.theta)
+    grid = _index_grid(args)
+    stack = _sweep_stack(args)
     refl = abs(_stack_rsp(stack, tangential_wavevector(stack, geom), grid)) ** 2
-    slopes = sensitivity(stack, geom, grid, h=config.fd_step)
+    slopes = sensitivity(stack, geom, grid, h=args.fd_step)
     rows = [{"n_analyte": n, "reflectance": value, "sensitivity": slope}
             for n, value, slope in zip(grid, refl.tolist(), slopes.tolist())]
-    _emit(config, ["n_analyte", "reflectance", "sensitivity"], rows)
+    _emit(args, ["n_analyte", "reflectance", "sensitivity"], rows)
     return 0
 
 
-def cmd_inflection(config: RunConfig) -> int:
-    stack = _make_stack(config, (config.n_min + config.n_max) / 2.0)
-    n_range = _search_range(config)
+def cmd_inflection(args: argparse.Namespace) -> int:
+    stack = _sweep_stack(args)
+    n_range = _index_range(args, _SEARCH_N_MIN)
     rows = []
-    for theta in _theta_grid(config):
+    for theta in _theta_grid(args):
         try:
             n_inf = inflection_index(stack, IncidenceGeometry(theta), n_range=n_range,
-                                     h=config.fd_step, grid_points=config.grid_points)
+                                     h=args.fd_step, grid_points=args.grid_points)
         except NoInteriorExtremumError as exc:
             warnings.warn(f"theta={theta} deg skipped: {exc}", stacklevel=2)
             continue
         rows.append({"theta_deg": theta, "n_inf": n_inf})
-    _emit(config, ["theta_deg", "n_inf"], rows)
+    _emit(args, ["theta_deg", "n_inf"], rows)
     return 0
 
 
-def cmd_ratio(config: RunConfig) -> int:
-    eta = _balanced_eta(config)
-    stats = family_statistics(config.state, config.photons)
-    stack = _make_stack(config, (config.n_min + config.n_max) / 2.0)
-    geom = IncidenceGeometry(config.theta_deg)
-    pairs = metrology.sweep_ratio(stack, geom, _index_grid(config), stats, eta)
+def cmd_ratio(args: argparse.Namespace) -> int:
+    eta = _balanced_eta(args)
+    stats = family_statistics("twin-fock" if args.state is None else args.state, args.photons)
+    stack = _sweep_stack(args)
+    geom = IncidenceGeometry(args.theta)
+    pairs = metrology.sweep_ratio(stack, geom, _index_grid(args), stats, eta)
     rows = [{"n_analyte": n, "R": r} for n, r in pairs]
-    _emit(config, ["n_analyte", "R"], rows)
+    _emit(args, ["n_analyte", "R"], rows)
     return 0
 
 
-def cmd_precision(config: RunConfig) -> int:
-    states = [config.state] if "state" in config.explicit else \
-        ["coherent", "twin-fock", "tmsv"]
-    stack = _make_stack(config, (config.n_min + config.n_max) / 2.0)
+def cmd_precision(args: argparse.Namespace) -> int:
+    states = ["coherent", "twin-fock", "tmsv"] if args.state is None else [args.state]
+    stack = _sweep_stack(args)
     rows = metrology.sweep_precision_vs_angle(
         stack,
-        _theta_grid(config),
+        _theta_grid(args),
         states,
-        n_photons=config.photons,
-        eta=_balanced_eta(config),
-        n_range=_search_range(config),
-        h=config.fd_step,
-        grid_points=config.grid_points,
+        n_photons=args.photons,
+        eta=_balanced_eta(args),
+        n_range=_index_range(args, _SEARCH_N_MIN),
+        h=args.fd_step,
+        grid_points=args.grid_points,
     )
-    _emit(config, ["theta_deg", "n_inf", "state", "N", "eta",
-                   "delta_n", "slope", "noise"], rows)
+    _emit(args, ["theta_deg", "n_inf", "state", "N", "eta",
+                 "delta_n", "slope", "noise"], rows)
     return 0
 
 
-def cmd_validate(config: RunConfig) -> int:
-    rng = np.random.default_rng(config.seed)
+def cmd_validate(args: argparse.Namespace) -> int:
+    rng = np.random.default_rng(args.seed)
     checks: list[tuple[str, float, float]] = []  # (name, max deviation, tolerance)
 
     # 1. closed-form moments vs brute-force loss channels
@@ -452,7 +385,7 @@ def cmd_validate(config: RunConfig) -> int:
 
     # 2. layered-reflection equivalence: recursive form vs transfer matrices
     worst = 0.0
-    stack = _make_stack(config, 1.38)
+    stack = _make_stack(args, 1.38)
     k0 = 2.0 * math.pi / stack.wavelength_nm
     cases = [(stack.eps_prism, stack.metal_permittivity, stack.eps_analyte,
               stack.thickness_nm, stack.n_prism)]
@@ -474,7 +407,7 @@ def cmd_validate(config: RunConfig) -> int:
     checks.append(("recursive vs transfer-matrix reflection", worst, 1e-10))
 
     # 3. enhancement ratio consistent with the moment formulas
-    fault = 1.0 + 1e-3 if config.inject_fault else 1.0
+    fault = 1.0 + 1e-3 if args.inject_fault else 1.0
     worst = 0.0
     for _ in range(200):
         r_abs = rng.uniform(0.05, 0.95)
@@ -504,22 +437,22 @@ def cmd_validate(config: RunConfig) -> int:
     # 5. passivity: reflectance never exceeds unity (one kernel call over the
     # 37 x 109 grid; a NaN reflectance propagates into the deviation and fails)
     k_x = tangential_wavevector(stack, IncidenceGeometry(
-        np.linspace(config.theta_min, config.theta_max, 37)))
+        np.linspace(args.theta_min, args.theta_max, 37)))
     refl = abs(_stack_rsp(stack, k_x[:, np.newaxis],
-                          np.linspace(config.n_min, config.n_max, 109))) ** 2
+                          np.linspace(*_index_range(args), 109))) ** 2
     checks.append(("passivity (reflectance <= 1)", max(float(np.max(refl)) - 1.0, 0.0), 0.0))
 
     records = [{"check": name, "max_deviation": dev, "tolerance": tol, "ok": dev <= tol}
                for name, dev, tol in checks]
     all_ok = all(record["ok"] for record in records)
-    if config.format == "json":
-        _emit(config, ["check", "max_deviation", "tolerance", "ok"], records)
+    if args.format == "json":
+        _emit(args, ["check", "max_deviation", "tolerance", "ok"], records)
     else:
         lines = [f"{'ok  ' if r['ok'] else 'FAIL'} {r['check']}: max deviation "
                  f"{r['max_deviation']:.3e} (tolerance {r['tolerance']:.1e})\n"
                  for r in records]
         lines.append("all checks passed\n" if all_ok else "some checks FAILED\n")
-        _write(config, "".join(lines))
+        _write(args, "".join(lines))
     return 0 if all_ok else 1
 
 
@@ -534,10 +467,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        config = _resolve_config(args)
-        return _COMMANDS[args.command](config)
+        args = _parse(argv)
+        return _COMMANDS[args.command](args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"plasmonq: error: {exc}", file=sys.stderr)
         return 2

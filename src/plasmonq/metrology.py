@@ -34,6 +34,8 @@ __all__ = [
     "MeasurementStats",
     "PrecisionResult",
     "STATE_FAMILIES",
+    "STATE_NAMES",
+    "state_family",
     "family_statistics",
     "signal_mean",
     "signal_std",
@@ -178,36 +180,40 @@ def ratio_tmsv(r_abs: float, n_photons: float) -> float:
     return math.sqrt((1.0 + r2) / den)
 
 
-# Per-mode mean, Mandel Q, difference noise and mode correlation for the
-# five beam families, as functions of the per-mode mean photon number N.
-# These are the exact statistics of the untruncated states; agreement with
+# Mandel Q, difference noise and mode correlation of each beam family as a
+# function of its per-mode mean photon number N.  These are the exact
+# statistics of the untruncated states; agreement with
 # quantum_states.statistics() on truncated expansions is covered by tests.
-STATE_FAMILIES = ("coherent", "twin-fock", "tmsv", "noon", "squeezed")
+_FAMILY_MOMENTS = {
+    "coherent": lambda n: (0.0, 1.0, 0.0),
+    "twin-fock": lambda n: (-1.0, 0.0, 1.0),
+    "tmsv": lambda n: (n, 0.0, 1.0),
+    "noon": lambda n: (n - 1.0, 2.0 * n, -1.0),
+    "squeezed": lambda n: (2.0 * n + 1.0, 2.0 * n + 2.0, 0.0),
+}
+_ALIASES = {"squeezed-product": "squeezed"}
+STATE_FAMILIES = tuple(_FAMILY_MOMENTS)
+STATE_NAMES = STATE_FAMILIES + tuple(_ALIASES)
+
+
+def state_family(name: str) -> str:
+    """The family a state name denotes, ignoring case and ``_`` vs ``-``."""
+    key = name.strip().lower().replace("_", "-")
+    key = _ALIASES.get(key, key)
+    if key not in _FAMILY_MOMENTS:
+        raise ValueError(f"unknown state {name!r}; choose from {', '.join(STATE_NAMES)}")
+    return key
 
 
 def family_statistics(family: str, n_photons: float) -> PhotonStatistics:
     """Closed-form :class:`PhotonStatistics` for a named beam family."""
-    key = family.strip().lower().replace("_", "-")
-    if key == "squeezed-product":
-        key = "squeezed"
+    key = state_family(family)
     if n_photons <= 0.0:
         raise ValueError(f"n_photons must be positive, got {n_photons}")
-    integer_needed = key in ("twin-fock", "noon")
-    if integer_needed and n_photons != int(n_photons):
+    if key in ("twin-fock", "noon") and n_photons != int(n_photons):
         raise ValueError(f"{key} needs an integer photon number, got {n_photons}")
     n = float(n_photons)
-    if key == "coherent":
-        q, s, j = 0.0, 1.0, 0.0
-    elif key == "twin-fock":
-        q, s, j = -1.0, 0.0, 1.0
-    elif key == "tmsv":
-        q, s, j = n, 0.0, 1.0
-    elif key == "noon":
-        q, s, j = n - 1.0, 2.0 * n, -1.0
-    elif key == "squeezed":
-        q, s, j = 2.0 * n + 1.0, 2.0 * n + 2.0, 0.0
-    else:
-        raise ValueError(f"unknown state family {family!r}; known: {', '.join(STATE_FAMILIES)}")
+    q, s, j = _FAMILY_MOMENTS[key](n)
     return PhotonStatistics(mean_a=n, mean_b=n, q_mandel=q, sigma=s, j_corr=j)
 
 

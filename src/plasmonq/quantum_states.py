@@ -28,7 +28,6 @@ __all__ = [
     "squeezed_product",
     "statistics",
     "is_twin_mode",
-    "is_path_symmetric",
     "save_coefficients",
     "load_coefficients",
 ]
@@ -284,18 +283,6 @@ def is_twin_mode(state: FockCoefficients, tol: float = 1e-12) -> bool:
     """Whether ``|C[n, m]|`` is symmetric under mode exchange."""
     mags = np.abs(state.coeffs)
     return bool(np.max(np.abs(mags - mags.T)) <= tol)
-
-
-def is_path_symmetric(state: FockCoefficients, chi0: float = 0.0, tol: float = 1e-12) -> bool:
-    """Whether ``C[n, m] = conj(C[m, n]) * exp(-2i chi0)``.
-
-    A stronger, phase-sensitive symmetry than :func:`is_twin_mode`; nothing
-    in the intensity-difference analysis depends on it, it is offered as a
-    diagnostic predicate only.
-    """
-    c = state.coeffs
-    target = np.conj(c.T) * complex(math.cos(-2.0 * chi0), math.sin(-2.0 * chi0))
-    return bool(np.max(np.abs(c - target)) <= tol)
 
 
 def save_coefficients(state: FockCoefficients, dest) -> None:

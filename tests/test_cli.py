@@ -243,3 +243,87 @@ def test_module_invocation():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("theta_deg,n_inf")
+
+
+def write_config(tmp_path, doc):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_config_curves_are_replaced_by_flags(tmp_path, capsys):
+    config = write_config(tmp_path, {"n_analyte": [1.36, 1.37]})
+    code, out, _ = run_cli(capsys, *FAST_REFLECTANCE, "--config", config,
+                           "--n-analyte", "1.40")
+    assert code == 0
+    assert {row["n_analyte"] for row in parse_csv(out)} == {"1.4"}
+
+
+def test_config_scalar_analyte_gives_one_curve(tmp_path, capsys):
+    config = write_config(tmp_path, {"n_analyte": 1.36})
+    code, out, _ = run_cli(capsys, *FAST_REFLECTANCE, "--config", config)
+    assert code == 0
+    rows = parse_csv(out)
+    assert {row["n_analyte"] for row in rows} == {"1.36"}
+    assert len(rows) == 21
+
+
+def test_config_value_of_wrong_type_is_rejected(tmp_path, capsys):
+    config = write_config(tmp_path, {"theta_steps": "many"})
+    code, out, err = run_cli(capsys, "index-sweep", "--config", config)
+    assert code == 2
+    assert out == ""
+    assert "theta_steps" in err
+
+
+INFLECTION_AT_65_5 = ["inflection", "--theta-min", "65.5", "--theta-max", "65.5",
+                      "--theta-steps", "1"]
+
+
+def test_inflection_search_floor_defaults_below_grid_floor(capsys):
+    code, out, _ = run_cli(capsys, *INFLECTION_AT_65_5)
+    assert code == 0
+    rows = parse_csv(out)
+    assert len(rows) == 1
+    assert float(rows[0]["n_inf"]) == pytest.approx(1.32138, abs=1e-5)
+
+
+def test_explicit_n_min_is_the_search_floor(capsys):
+    with pytest.warns(UserWarning, match="skipped"):
+        code, out, _ = run_cli(capsys, *INFLECTION_AT_65_5, "--n-min", "1.333")
+    assert code == 0
+    assert out == "theta_deg,n_inf\n"
+
+
+def test_config_state_replaces_the_precision_trio(tmp_path, capsys):
+    config = write_config(tmp_path, {"state": "TMSV"})
+    code, out, _ = run_cli(capsys, "precision", "--theta-min", "71",
+                           "--theta-max", "75", "--theta-steps", "3",
+                           "--config", config)
+    assert code == 0
+    rows = parse_csv(out)
+    assert [row["state"] for row in rows] == ["TMSV"] * 3
+    assert [float(row["theta_deg"]) for row in rows] == [71.0, 73.0, 75.0]
+
+
+def test_config_analyte_of_wrong_type_is_rejected(tmp_path, capsys):
+    config = write_config(tmp_path, {"n_analyte": None})
+    code, out, err = run_cli(capsys, *FAST_REFLECTANCE, "--config", config)
+    assert code == 2
+    assert out == ""
+    assert "n_analyte" in err
+
+
+@pytest.mark.parametrize("key", ["inject_fault", "config"])
+def test_flag_only_settings_are_not_config_keys(tmp_path, capsys, key):
+    config = write_config(tmp_path, {key: True})
+    code, _, err = run_cli(capsys, "validate", "--config", config)
+    assert code == 2
+    assert f"unknown config key {key!r}" in err
+
+
+def test_squeezed_is_a_state_name(capsys):
+    outputs = [run_cli(capsys, "ratio", "--n-steps", "5", "--state", name)
+               for name in ("squeezed", "squeezed-product")]
+    assert outputs[0][0] == 0
+    assert outputs[0] == outputs[1]

@@ -11,6 +11,8 @@ from plasmonq.metrology import (
     ChannelEfficiencies,
     DegenerateOperatingPointError,
     DivergenceError,
+    STATE_FAMILIES,
+    STATE_NAMES,
     MetrologyDomainError,
     family_statistics,
     precision,
@@ -20,6 +22,7 @@ from plasmonq.metrology import (
     signal_mean,
     signal_std,
     sweep_precision_vs_angle,
+    state_family,
     sweep_ratio,
 )
 from plasmonq.quantum_states import (
@@ -209,6 +212,15 @@ def test_family_statistics_validation():
         family_statistics("twin-fock", 1.5)
     with pytest.raises(ValueError):
         family_statistics("tmsv", 0.0)
+
+
+def test_state_names_are_the_families_and_one_alias():
+    assert STATE_NAMES == STATE_FAMILIES + ("squeezed-product",)
+    assert state_family(" Squeezed_Product ") == "squeezed"
+    assert state_family("TWIN_FOCK") == "twin-fock"
+    assert family_statistics("squeezed-product", 2.0) == family_statistics("squeezed", 2.0)
+    with pytest.raises(ValueError, match="choose from coherent, .*, squeezed-product"):
+        state_family("laser")
 
 
 # ------------------------------------------------------------------- precision

@@ -10,7 +10,6 @@ from plasmonq.quantum_states import (
     TruncationError,
     UndefinedStatisticsError,
     coherent_product,
-    is_path_symmetric,
     is_twin_mode,
     load_coefficients,
     noon,
@@ -246,15 +245,6 @@ def test_is_twin_mode_rejects_asymmetric():
     coeffs = np.zeros((3, 3), dtype=complex)
     coeffs[0, 2] = 1.0
     assert not is_twin_mode(FockCoefficients(coeffs))
-
-
-def test_is_path_symmetric_with_phase_reference():
-    base = tmsv(1.0)
-    assert is_path_symmetric(base)
-    chi0 = 0.7
-    rotated = FockCoefficients(base.coeffs * np.exp(-1j * chi0))
-    assert is_path_symmetric(rotated, chi0=chi0)
-    assert not is_path_symmetric(rotated, chi0=0.0)
 
 
 # ------------------------------------------------------------- error handling
