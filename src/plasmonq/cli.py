@@ -27,7 +27,7 @@ from .fresnel import (
     NoInteriorExtremumError,
     _rsp,
     _stack_rsp,
-    inflection_index,
+    _steepest_flank,
     sensitivity,
     tangential_wavevector,
     transfer_matrix_reflection,
@@ -247,8 +247,9 @@ def _theta_grid(args: argparse.Namespace) -> list[float]:
                                           args.theta_steps)]
 
 
-def _index_range(args: argparse.Namespace, floor: float = _GRID_N_MIN) -> tuple[float, float]:
-    """``(n_min, n_max)``, with ``floor`` standing in for an unset --n-min."""
+def _index_range(args: argparse.Namespace) -> tuple[float, float]:
+    """``(n_min, n_max)``; an unset --n-min is the floor of the running command."""
+    floor = _SEARCH_N_MIN if args.command in ("inflection", "precision") else _GRID_N_MIN
     return (floor if args.n_min is None else args.n_min, args.n_max)
 
 
@@ -310,17 +311,15 @@ def cmd_index_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_inflection(args: argparse.Namespace) -> int:
-    stack = _sweep_stack(args)
-    n_range = _index_range(args, _SEARCH_N_MIN)
+    thetas = _theta_grid(args)
+    found = _steepest_flank(_sweep_stack(args), thetas, _index_range(args), tol=1e-9,
+                            h=args.fd_step, grid_points=args.grid_points)
     rows = []
-    for theta in _theta_grid(args):
-        try:
-            n_inf = inflection_index(stack, IncidenceGeometry(theta), n_range=n_range,
-                                     h=args.fd_step, grid_points=args.grid_points)
-        except NoInteriorExtremumError as exc:
-            warnings.warn(f"theta={theta} deg skipped: {exc}", stacklevel=2)
-            continue
-        rows.append({"theta_deg": theta, "n_inf": n_inf})
+    for theta, n_inf in zip(thetas, found):
+        if isinstance(n_inf, NoInteriorExtremumError):
+            warnings.warn(f"theta={theta} deg skipped: {n_inf}", stacklevel=2)
+        else:
+            rows.append({"theta_deg": theta, "n_inf": n_inf})
     _emit(args, ["theta_deg", "n_inf"], rows)
     return 0
 
@@ -345,7 +344,7 @@ def cmd_precision(args: argparse.Namespace) -> int:
         states,
         n_photons=args.photons,
         eta=_balanced_eta(args),
-        n_range=_index_range(args, _SEARCH_N_MIN),
+        n_range=_index_range(args),
         h=args.fd_step,
         grid_points=args.grid_points,
     )

@@ -253,28 +253,34 @@ def transfer_matrix_reflection(layers, k_x: float, wavelength_nm: float) -> comp
     return (q[0] * top - bot) / den
 
 
-def _golden_minimize(f, a: float, b: float, tol: float) -> float:
-    """Golden-section minimum of a unimodal f on [a, b] to absolute x tolerance."""
+def _golden_minimize(f, a, b, tol: float):
+    """Golden-section minimum of a unimodal f on [a, b] to absolute x tolerance.
+
+    Arrays of brackets run in lockstep, one call of ``f`` on all rows per
+    iteration; a row within ``tol`` is frozen, so each row does exactly the
+    arithmetic of its own scalar search.  Scalar brackets are the 0-d case.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = f(c)
-    fd = f(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+    a, b = (np.array(v, dtype=float) for v in np.broadcast_arrays(a, b))
+    c = np.array(b - invphi * (b - a))  # np.array keeps the 0-d case writable
+    d = np.array(a + invphi * (b - a))
+    fc = np.array(f(c), dtype=float)
+    fd = np.array(f(d), dtype=float)
+    while (live := (b - a) > tol).any():
+        left = live & (fc < fd)  # the minimum lies in [a, d]
+        right = live & ~(fc < fd)  # the minimum lies in [c, b]
+        b[left], d[left], fd[left] = d[left], c[left], fc[left]
+        a[right], c[right], fc[right] = c[right], d[right], fd[right]
+        c[left] = b[left] - invphi * (b[left] - a[left])
+        d[right] = a[right] + invphi * (b[right] - a[right])
+        values = np.asarray(f(np.where(left, c, d)), dtype=float)
+        fc[left], fd[right] = values[left], values[right]
+    return (0.5 * (a + b))[()]
 
 
-def _grid_minimum(f, lo: float, hi: float, grid_points: int, tol: float, what: str) -> float:
-    """Minimum of ``f`` on [lo, hi]: one array call of ``f`` on a uniform grid,
-    then golden section on the two cells around the grid minimum.
+def _grid_bracket(f, lo: float, hi: float, grid_points: int, what: str) -> tuple[float, float]:
+    """The two grid cells around the minimum of ``f`` on a uniform grid over
+    [lo, hi], from one array call of ``f``.
 
     Raises :class:`NoInteriorExtremumError` when the grid minimum sits on a
     boundary.
@@ -283,7 +289,7 @@ def _grid_minimum(f, lo: float, hi: float, grid_points: int, tol: float, what: s
     i_min = int(np.argmin(f(lo + np.arange(grid_points) * step)))
     if i_min == 0 or i_min == grid_points - 1:
         raise NoInteriorExtremumError(f"{what} at grid boundary ({lo + i_min * step:.6f})")
-    return _golden_minimize(f, lo + (i_min - 1) * step, lo + (i_min + 1) * step, tol)
+    return lo + (i_min - 1) * step, lo + (i_min + 1) * step
 
 
 def resonance_angle(
@@ -303,12 +309,12 @@ def resonance_angle(
         raise ValueError(f"theta_range {theta_range} must be ordered inside (0, 90)")
     if grid_points < 3:
         raise ValueError("grid_points must be at least 3")
-    return _grid_minimum(
-        lambda theta: abs(_stack_rsp(
-            stack, tangential_wavevector(stack, IncidenceGeometry(theta)), stack.n_analyte
-        )) ** 2,
-        lo, hi, grid_points, tol, "reflectance minimum at theta",
-    )
+    def refl(theta):
+        k_x = tangential_wavevector(stack, IncidenceGeometry(theta))
+        return abs(_stack_rsp(stack, k_x, stack.n_analyte)) ** 2
+
+    bracket = _grid_bracket(refl, lo, hi, grid_points, "reflectance minimum at theta")
+    return float(_golden_minimize(refl, *bracket, tol))
 
 
 def sensitivity(
@@ -352,20 +358,46 @@ def inflection_index(
     the total-internal-reflection regime ``n < n_prism sin(theta)`` where
     the attenuated-total-reflection scheme is defined.  Raises
     :class:`NoInteriorExtremumError` if the steepest point is not interior.
+
+    With ``h = 1e-6`` the finite-difference objective is flat to rounding
+    over ~1e-7 around its maximum: ``n_inf`` is meaningful to ~1e-7, not ``tol``.
+    """
+    (n_inf,) = _steepest_flank(stack, [geom.theta_deg], n_range, tol, h, grid_points)
+    if isinstance(n_inf, NoInteriorExtremumError):
+        raise n_inf
+    return n_inf
+
+
+def _steepest_flank(stack: KretschmannStack, thetas, n_range: tuple[float, float],
+                    tol: float, h: float, grid_points: int) -> list:
+    """:func:`inflection_index` at each angle of ``thetas``: its ``n_inf``, or
+    the :class:`NoInteriorExtremumError` raised there.  Each angle is scanned
+    with its own kernel call; the golden sections run in lockstep.
     """
     lo, hi = n_range
     if not (h < lo < hi < stack.n_prism - h):
         raise ValueError(f"n_range {n_range} must be ordered inside (h, n_prism - h)")
     if grid_points < 3:
         raise ValueError("grid_points must be at least 3")
-    n_critical = stack.n_prism * math.sin(math.radians(geom.theta_deg))
-    hi = min(hi, n_critical - _TIR_MARGIN)
-    if hi <= lo:
-        raise NoInteriorExtremumError(
-            f"no total-internal-reflection window above n={lo} at "
-            f"theta={geom.theta_deg} deg (crossover at {n_critical:.6f})"
-        )
-    return _grid_minimum(
-        lambda n: -abs(sensitivity(stack, geom, n, h)),
-        lo, hi, grid_points, tol, "steepest flank at n",
-    )
+    found = []  # per angle: its bracket, then its n_inf, or why it is skipped
+    for theta in thetas:
+        geom = IncidenceGeometry(theta)
+        n_critical = stack.n_prism * math.sin(math.radians(theta))
+        top = min(hi, n_critical - _TIR_MARGIN)
+        try:
+            if top <= lo:
+                raise NoInteriorExtremumError(
+                    f"no total-internal-reflection window above n={lo} at "
+                    f"theta={theta} deg (crossover at {n_critical:.6f})"
+                )
+            found.append(_grid_bracket(lambda n: -abs(sensitivity(stack, geom, n, h)),
+                                       lo, top, grid_points, "steepest flank at n"))
+        except NoInteriorExtremumError as exc:
+            found.append(exc)
+    rows = [i for i, item in enumerate(found) if isinstance(item, tuple)]
+    geom = IncidenceGeometry([thetas[i] for i in rows])
+    a, b = np.reshape([found[i] for i in rows], (-1, 2)).T
+    n_inf = _golden_minimize(lambda n: -abs(sensitivity(stack, geom, n, h)), a, b, tol)
+    for i, n in zip(rows, n_inf.tolist()):
+        found[i] = n
+    return found

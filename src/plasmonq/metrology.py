@@ -21,7 +21,7 @@ from .fresnel import (
     KretschmannStack,
     NoInteriorExtremumError,
     _stack_rsp,
-    inflection_index,
+    _steepest_flank,
     tangential_wavevector,
 )
 from .quantum_states import PhotonStatistics
@@ -233,10 +233,16 @@ def precision(
     """
     if h <= 0.0:
         raise ValueError("finite-difference step h must be positive")
+    k_x = tangential_wavevector(stack, geom)
+    r_abs = abs(_stack_rsp(stack, k_x, [n_analyte - h, n_analyte, n_analyte + h]))
+    return _precision_at(*r_abs.tolist(), n_analyte, state_stats, eff, h)
+
+
+def _precision_at(r_lo: float, r_mid: float, r_hi: float, n_analyte: float,
+                  state_stats: PhotonStatistics, eff: ChannelEfficiencies,
+                  h: float) -> PrecisionResult:
+    """:func:`precision` from ``|r_sp|`` at ``n_analyte - h, n_analyte, n_analyte + h``."""
     n_photons = state_stats.mean_a
-    r_lo, r_mid, r_hi = abs(_stack_rsp(
-        stack, tangential_wavevector(stack, geom), [n_analyte - h, n_analyte, n_analyte + h]
-    )).tolist()
     slope = (signal_mean(r_hi, eff, n_photons) - signal_mean(r_lo, eff, n_photons)) / (2.0 * h)
     if slope == 0.0:
         raise DegenerateOperatingPointError(
@@ -300,20 +306,26 @@ def sweep_precision_vs_angle(
             label, stats = item
             resolved.append((str(label), stats))
     eff = ChannelEfficiencies(eta, eta)
+    theta_grid = list(theta_grid)
+    found = _steepest_flank(stack, [float(theta) for theta in theta_grid], n_range, tol, h,
+                            grid_points)
+    thetas, n_infs = [], []
+    for theta, n_inf in zip(theta_grid, found):
+        if isinstance(n_inf, NoInteriorExtremumError):
+            warnings.warn(f"theta={theta} deg skipped: {n_inf}", stacklevel=2)
+        else:
+            thetas.append(float(theta))
+            n_infs.append(n_inf)
+    k_x = tangential_wavevector(stack, IncidenceGeometry(thetas))
+    r_abs = abs(_stack_rsp(stack, k_x, [[n - h for n in n_infs], n_infs,
+                                        [n + h for n in n_infs]]))
     rows: list[dict] = []
-    for theta in theta_grid:
-        geom = IncidenceGeometry(float(theta))
-        try:
-            n_inf = inflection_index(stack, geom, n_range=n_range, tol=tol, h=h,
-                                     grid_points=grid_points)
-        except NoInteriorExtremumError as exc:
-            warnings.warn(f"theta={theta} deg skipped: {exc}", stacklevel=2)
-            continue
+    for theta, n_inf, r in zip(thetas, n_infs, r_abs.T.tolist()):
         for label, stats in resolved:
-            result = precision(stack, geom, n_inf, stats, eff, h=h)
+            result = _precision_at(*r, n_inf, stats, eff, h)
             rows.append(
                 {
-                    "theta_deg": float(theta),
+                    "theta_deg": theta,
                     "n_inf": n_inf,
                     "state": label,
                     "N": stats.mean_a,

@@ -295,6 +295,22 @@ def test_explicit_n_min_is_the_search_floor(capsys):
     assert out == "theta_deg,n_inf\n"
 
 
+def test_search_bounds_are_checked_against_the_search_floor(capsys):
+    # [1.30, 1.32] is a valid search range though 1.32 is under the grid floor
+    code, out, _ = run_cli(capsys, "inflection", "--n-max", "1.32", "--theta-min", "64",
+                           "--theta-max", "65", "--theta-steps", "2")
+    assert code == 0
+    assert [float(row["theta_deg"]) for row in parse_csv(out)] == [64.0, 65.0]
+    assert all(1.30 < float(row["n_inf"]) < 1.32 for row in parse_csv(out))
+
+
+def test_grid_bounds_are_checked_against_the_grid_floor(capsys):
+    code, out, err = run_cli(capsys, "index-sweep", "--n-max", "1.32")
+    assert code == 2
+    assert out == ""
+    assert "grid bounds are reversed" in err
+
+
 def test_config_state_replaces_the_precision_trio(tmp_path, capsys):
     config = write_config(tmp_path, {"state": "TMSV"})
     code, out, _ = run_cli(capsys, "precision", "--theta-min", "71",

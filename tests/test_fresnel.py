@@ -13,6 +13,7 @@ from plasmonq.fresnel import (
     ReflectionResult,
     _golden_minimize,
     _rsp,
+    _steepest_flank,
     inflection_index,
     interface_reflection,
     reflection_coefficient,
@@ -238,6 +239,63 @@ def test_golden_minimizer_finds_planted_optimum():
     assert got == pytest.approx(plant, abs=1e-8)
     quartic = _golden_minimize(lambda x: (x - 2.5) ** 4 + 1.0, 0.0, 10.0, tol=1e-6)
     assert quartic == pytest.approx(2.5, abs=1e-3)
+
+
+def _golden_loop(f, a, b, tol):
+    """One bracket at a time, in Python floats: the reference for the lockstep form."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def test_golden_minimizer_rows_match_their_scalar_searches():
+    # bracket widths from 10 down to below tol, so rows freeze after
+    # different numbers of iterations; the last row is frozen from the start
+    plants = np.array([0.3, 1.38, 2.5, 7.0, 0.5])
+    a = np.array([0.0, 1.36, 0.0, 6.99, 0.5])
+    b = np.array([1.0, 1.40, 10.0, 7.01, 0.5 + 1e-7])
+    tol = 1e-6
+    got = _golden_minimize(lambda x: (x - plants) * (x - plants), a, b, tol)
+    assert got.shape == plants.shape
+    for i, plant in enumerate(plants.tolist()):
+        def f(x):
+            return (x - plant) * (x - plant)
+        scalar = _golden_minimize(f, a[i], b[i], tol)
+        assert got[i] == scalar == _golden_loop(f, float(a[i]), float(b[i]), tol)
+    assert got[-1] == 0.5 * (a[-1] + b[-1])
+
+
+def test_lockstep_flank_search_matches_the_one_angle_search():
+    # 60 deg has no TIR window above 1.333; 65.5 deg and, on the narrow
+    # range, 71-79 deg put the steepest point on the grid boundary
+    stack = make_stack()
+    thetas = [60.0, 65.5] + [float(theta) for theta in range(70, 80)]
+    outcomes = set()
+    for n_range in [(1.333, 1.4422), (1.333, 1.35)]:
+        found = _steepest_flank(stack, thetas, n_range, 1e-9, 1e-6, 2001)
+        assert len(found) == len(thetas)
+        for theta, got in zip(thetas, found):
+            try:
+                want = inflection_index(stack, IncidenceGeometry(theta), n_range=n_range)
+            except NoInteriorExtremumError as exc:
+                assert isinstance(got, NoInteriorExtremumError)
+                assert str(got) == str(exc)
+                outcomes.add("no TIR window" if "total-internal" in str(exc) else "boundary")
+            else:
+                assert got == want
+                outcomes.add("interior")
+    assert outcomes == {"interior", "boundary", "no TIR window"}
 
 
 def test_inflection_index_matches_frozen_value():

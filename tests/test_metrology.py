@@ -368,3 +368,24 @@ def test_sweep_precision_skips_angles_without_interior_flank():
         rows = sweep_precision_vs_angle(stack, [65.5, 73.0], ["coherent"],
                                         n_range=(1.333, 1.4422))
     assert [row["theta_deg"] for row in rows] == [73.0]
+
+
+def test_sweep_rows_equal_precision_at_their_operating_points():
+    stack = make_stack()
+    eta, n_photons = 0.9, 2.0
+    rows = sweep_precision_vs_angle(stack, [68.0, 70.0, 73.0, 76.0, 79.0],
+                                    ["coherent", "twin-fock", "tmsv"],
+                                    n_photons=n_photons, eta=eta)
+    assert len(rows) == 15
+    for row in rows:
+        result = precision(stack, IncidenceGeometry(row["theta_deg"]), row["n_inf"],
+                           family_statistics(row["state"], n_photons),
+                           ChannelEfficiencies(eta, eta))
+        assert row["slope"] == result.signal_slope
+        assert row["noise"] == result.noise
+        assert row["delta_n"] == result.delta_n
+
+
+def test_sweep_precision_degenerate_when_detectors_are_dark():
+    with pytest.raises(DegenerateOperatingPointError):
+        sweep_precision_vs_angle(make_stack(), [73.0], ["coherent"], eta=0.0)
