@@ -8,9 +8,7 @@ it, and writes figure-ready CSV or JSON records.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import math
 import os
@@ -243,8 +241,7 @@ def _balanced_eta(args: argparse.Namespace) -> float:
 
 
 def _theta_grid(args: argparse.Namespace) -> list[float]:
-    return [float(v) for v in np.linspace(args.theta_min, args.theta_max,
-                                          args.theta_steps)]
+    return np.linspace(args.theta_min, args.theta_max, args.theta_steps).tolist()
 
 
 def _index_range(args: argparse.Namespace) -> tuple[float, float]:
@@ -254,26 +251,31 @@ def _index_range(args: argparse.Namespace) -> tuple[float, float]:
 
 
 def _index_grid(args: argparse.Namespace) -> list[float]:
-    return [float(v) for v in np.linspace(*_index_range(args), args.n_steps)]
+    return np.linspace(*_index_range(args), args.n_steps).tolist()
 
 
-def _jsonable(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
+def _emit(args: argparse.Namespace, columns: dict[str, list]) -> None:
+    """Write ``columns`` (name to values, in output order) as CSV or JSON.
 
-
-def _emit(args: argparse.Namespace, fieldnames: list[str], rows: list[dict]) -> None:
+    CSV floats are their shortest round-trip ``str``; the only strings are
+    state-family names, so no cell needs quoting.  JSON writes nan and inf as null.
+    """
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        text = buf.getvalue()
+        cells = zip(*(map(str, column) for column in columns.values()), strict=True)
+        text = "\n".join([",".join(columns), *map(",".join, cells), ""])
     else:
-        records = [{k: _jsonable(row[k]) for k in fieldnames} for row in rows]
+        values = [[None if isinstance(v, float) and not math.isfinite(v) else v
+                   for v in column] for column in columns.values()]
+        records = [dict(zip(columns, row)) for row in zip(*values, strict=True)]
         text = json.dumps(records, indent=2, allow_nan=False) + "\n"
     _write(args, text)
+
+
+def _note_if_empty(args: argparse.Namespace, thetas: list[float], rows) -> None:
+    if not rows:
+        held = "only the header" if args.format == "csv" else "an empty list"
+        warnings.warn(f"no angle produced a row ({len(thetas)} tried); "
+                      f"the output holds {held}", stacklevel=3)
 
 
 def _write(args: argparse.Namespace, text: str) -> None:
@@ -287,14 +289,13 @@ def cmd_reflectance(args: argparse.Namespace) -> int:
     curves = args.n_analyte if args.n_analyte else (1.39, 1.395)
     thetas = _theta_grid(args)
     metal = _resolve_metal(args)
-    rows = []
+    columns = {"n_analyte": [], "theta_deg": thetas * len(curves), "reflectance": []}
     for n in curves:
         stack = _make_stack(args, n, metal)
         k_x = tangential_wavevector(stack, IncidenceGeometry(thetas))
-        refl = abs(_stack_rsp(stack, k_x, n)) ** 2
-        rows += [{"n_analyte": n, "theta_deg": theta, "reflectance": value}
-                 for theta, value in zip(thetas, refl.tolist())]
-    _emit(args, ["n_analyte", "theta_deg", "reflectance"], rows)
+        columns["n_analyte"] += [n] * len(thetas)
+        columns["reflectance"] += (abs(_stack_rsp(stack, k_x, n)) ** 2).tolist()
+    _emit(args, columns)
     return 0
 
 
@@ -304,9 +305,8 @@ def cmd_index_sweep(args: argparse.Namespace) -> int:
     stack = _sweep_stack(args)
     refl = abs(_stack_rsp(stack, tangential_wavevector(stack, geom), grid)) ** 2
     slopes = sensitivity(stack, geom, grid, h=args.fd_step)
-    rows = [{"n_analyte": n, "reflectance": value, "sensitivity": slope}
-            for n, value, slope in zip(grid, refl.tolist(), slopes.tolist())]
-    _emit(args, ["n_analyte", "reflectance", "sensitivity"], rows)
+    _emit(args, {"n_analyte": grid, "reflectance": refl.tolist(),
+                 "sensitivity": slopes.tolist()})
     return 0
 
 
@@ -314,13 +314,15 @@ def cmd_inflection(args: argparse.Namespace) -> int:
     thetas = _theta_grid(args)
     found = _steepest_flank(_sweep_stack(args), thetas, _index_range(args), tol=1e-9,
                             h=args.fd_step, grid_points=args.grid_points)
-    rows = []
+    columns = {"theta_deg": [], "n_inf": []}
     for theta, n_inf in zip(thetas, found):
         if isinstance(n_inf, NoInteriorExtremumError):
             warnings.warn(f"theta={theta} deg skipped: {n_inf}", stacklevel=2)
         else:
-            rows.append({"theta_deg": theta, "n_inf": n_inf})
-    _emit(args, ["theta_deg", "n_inf"], rows)
+            columns["theta_deg"].append(theta)
+            columns["n_inf"].append(n_inf)
+    _note_if_empty(args, thetas, columns["n_inf"])
+    _emit(args, columns)
     return 0
 
 
@@ -330,26 +332,21 @@ def cmd_ratio(args: argparse.Namespace) -> int:
     stack = _sweep_stack(args)
     geom = IncidenceGeometry(args.theta)
     pairs = metrology.sweep_ratio(stack, geom, _index_grid(args), stats, eta)
-    rows = [{"n_analyte": n, "R": r} for n, r in pairs]
-    _emit(args, ["n_analyte", "R"], rows)
+    _emit(args, {"n_analyte": [n for n, _ in pairs], "R": [r for _, r in pairs]})
     return 0
 
 
 def cmd_precision(args: argparse.Namespace) -> int:
-    states = ["coherent", "twin-fock", "tmsv"] if args.state is None else [args.state]
-    stack = _sweep_stack(args)
+    states = (["coherent", "twin-fock", "tmsv"] if args.state is None
+              else [state_family(args.state)])
+    thetas = _theta_grid(args)
     rows = metrology.sweep_precision_vs_angle(
-        stack,
-        _theta_grid(args),
-        states,
-        n_photons=args.photons,
-        eta=_balanced_eta(args),
-        n_range=_index_range(args),
-        h=args.fd_step,
-        grid_points=args.grid_points,
-    )
-    _emit(args, ["theta_deg", "n_inf", "state", "N", "eta",
-                 "delta_n", "slope", "noise"], rows)
+        _sweep_stack(args), thetas, states, n_photons=args.photons, eta=_balanced_eta(args),
+        n_range=_index_range(args), h=args.fd_step, grid_points=args.grid_points)
+    _note_if_empty(args, thetas, rows)
+    _emit(args, {name: [row[name] for row in rows]
+                 for name in ("theta_deg", "n_inf", "state", "N", "eta",
+                              "delta_n", "slope", "noise")})
     return 0
 
 
@@ -441,18 +438,18 @@ def cmd_validate(args: argparse.Namespace) -> int:
                           np.linspace(*_index_range(args), 109))) ** 2
     checks.append(("passivity (reflectance <= 1)", max(float(np.max(refl)) - 1.0, 0.0), 0.0))
 
-    records = [{"check": name, "max_deviation": dev, "tolerance": tol, "ok": dev <= tol}
-               for name, dev, tol in checks]
-    all_ok = all(record["ok"] for record in records)
+    names, deviations, tolerances = zip(*checks)
+    ok = [dev <= tol for dev, tol in zip(deviations, tolerances)]
     if args.format == "json":
-        _emit(args, ["check", "max_deviation", "tolerance", "ok"], records)
+        _emit(args, {"check": names, "max_deviation": deviations,
+                     "tolerance": tolerances, "ok": ok})
     else:
-        lines = [f"{'ok  ' if r['ok'] else 'FAIL'} {r['check']}: max deviation "
-                 f"{r['max_deviation']:.3e} (tolerance {r['tolerance']:.1e})\n"
-                 for r in records]
-        lines.append("all checks passed\n" if all_ok else "some checks FAILED\n")
+        lines = [f"{'ok  ' if passed else 'FAIL'} {name}: max deviation "
+                 f"{dev:.3e} (tolerance {tol:.1e})\n"
+                 for name, dev, tol, passed in zip(names, deviations, tolerances, ok)]
+        lines.append("all checks passed\n" if all(ok) else "some checks FAILED\n")
         _write(args, "".join(lines))
-    return 0 if all_ok else 1
+    return 0 if all(ok) else 1
 
 
 _COMMANDS = {

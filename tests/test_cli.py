@@ -1,12 +1,16 @@
+import argparse
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
-from plasmonq.cli import main
+from plasmonq.cli import _emit, main
+from plasmonq.metrology import STATE_NAMES
 
 FAST_REFLECTANCE = ["reflectance", "--theta-min", "70", "--theta-max", "80",
                     "--theta-steps", "21"]
@@ -318,8 +322,25 @@ def test_config_state_replaces_the_precision_trio(tmp_path, capsys):
                            "--config", config)
     assert code == 0
     rows = parse_csv(out)
-    assert [row["state"] for row in rows] == ["TMSV"] * 3
+    assert [row["state"] for row in rows] == ["tmsv"] * 3
     assert [float(row["theta_deg"]) for row in rows] == [71.0, 73.0, 75.0]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_state_labels_are_canonical_family_names(tmp_path, capsys, fmt):
+    argv = ["precision", "--theta-min", "71", "--theta-max", "75", "--theta-steps", "3",
+            "--format", fmt]
+    config = write_config(tmp_path, {"state": "TMSV"})
+    code, from_file, _ = run_cli(capsys, *argv, "--config", config)
+    assert code == 0
+    code, from_flag, _ = run_cli(capsys, *argv, "--state", "tmsv")
+    assert code == 0
+    assert from_file == from_flag
+    code, alias, _ = run_cli(capsys, *argv, "--state", "squeezed-product")
+    assert code == 0
+    code, family, _ = run_cli(capsys, *argv, "--state", "squeezed")
+    assert code == 0
+    assert alias == family
 
 
 def test_config_analyte_of_wrong_type_is_rejected(tmp_path, capsys):
@@ -343,3 +364,76 @@ def test_squeezed_is_a_state_name(capsys):
                for name in ("squeezed", "squeezed-product")]
     assert outputs[0][0] == 0
     assert outputs[0] == outputs[1]
+
+
+ALL_ANGLES_DROPPED = ["--theta-min", "40", "--theta-max", "41", "--theta-steps", "3"]
+
+
+@pytest.mark.parametrize("command", ["inflection", "precision"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_sweep_that_drops_every_angle_says_so(capsys, command, fmt):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run_cli(capsys, command, *ALL_ANGLES_DROPPED, "--format", fmt)
+    assert code == 0
+    messages = [str(w.message) for w in caught]
+    # one warning per angle names it as skipped; the notice must not, or
+    # counting "skipped" warnings would count it as one more angle
+    assert sum("skipped" in m for m in messages) == 3
+    notices = [m for m in messages if "no angle produced a row (3 tried)" in m]
+    assert len(notices) == 1
+    assert "skipped" not in notices[0]
+    if fmt == "csv":
+        assert out.count("\n") == 1 and out.startswith("theta_deg,n_inf")
+        assert "only the header" in notices[0]
+    else:
+        assert json.loads(out) == []
+
+
+def test_a_sweep_with_rows_gives_no_empty_output_notice(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, _ = run_cli(capsys, *INFLECTION_AT_65_5)
+    assert code == 0
+    assert not [w for w in caught if "produced a row" in str(w.message)]
+
+
+# Every kind of value a command writes: rounding-sensitive and extreme floats,
+# signed zero, non-finite floats, Python ints, bools and every state name.
+EMIT_FLOATS = [0.1 + 0.2, 5e-324, 1e300, -0.0, math.nan, math.inf, -math.inf,
+               -69.9695052537308, 1.3847878772060647]
+EMIT_INTS = [0, 1, -7, 2**70]
+
+
+def _reference_csv(fieldnames, rows):
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _reference_json(fieldnames, rows):
+    def jsonable(value):
+        if isinstance(value, float) and not math.isfinite(value):
+            return None
+        return value
+
+    records = [{k: jsonable(row[k]) for k in fieldnames} for row in rows]
+    return json.dumps(records, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_matches_the_per_row_writers(capsys, fmt):
+    size = max(len(EMIT_FLOATS), len(EMIT_INTS), len(STATE_NAMES))
+
+    def cycle(values):
+        return [values[i % len(values)] for i in range(size)]
+
+    table = {"value": cycle(EMIT_FLOATS), "count": cycle(EMIT_INTS),
+             "state": cycle(STATE_NAMES), "ok": cycle([True, False])}
+    reference = _reference_csv if fmt == "csv" else _reference_json
+    for columns in (table, {name: [] for name in table}):
+        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        _emit(argparse.Namespace(format=fmt, out="-"), columns)
+        assert capsys.readouterr().out == reference(list(columns), rows)
