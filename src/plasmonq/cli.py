@@ -254,18 +254,19 @@ def _index_grid(args: argparse.Namespace) -> list[float]:
     return np.linspace(*_index_range(args), args.n_steps).tolist()
 
 
-def _emit(args: argparse.Namespace, columns: dict[str, list]) -> None:
-    """Write ``columns`` (name to values, in output order) as CSV or JSON.
+def _jsonable(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
-    CSV floats are their shortest round-trip ``str``; the only strings are
-    state-family names, so no cell needs quoting.  JSON writes nan and inf as null.
-    """
+
+def _emit(args: argparse.Namespace, columns: dict[str, list]) -> None:
+    """Write ``columns`` (name to values) as CSV or JSON; no CSV cell is quoted."""
     if args.format == "csv":
         cells = zip(*(map(str, column) for column in columns.values()), strict=True)
         text = "\n".join([",".join(columns), *map(",".join, cells), ""])
     else:
-        values = [[None if isinstance(v, float) and not math.isfinite(v) else v
-                   for v in column] for column in columns.values()]
+        values = [[_jsonable(v) for v in column] for column in columns.values()]
         records = [dict(zip(columns, row)) for row in zip(*values, strict=True)]
         text = json.dumps(records, indent=2, allow_nan=False) + "\n"
     _write(args, text)
