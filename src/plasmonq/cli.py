@@ -2,7 +2,7 @@
 
 Every command reads an optional flat JSON config file, lets flags override
 it, and writes figure-ready CSV or JSON records.  Exit codes: 0 success,
-1 a validation tolerance was missed, 2 configuration or input error.
+1 a validation tolerance was missed, 2 configuration, input or numerical error.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 
 from . import fock_oracle, metrology
 from .fresnel import (
+    FresnelSingularityError,
     IncidenceGeometry,
     KretschmannStack,
     NoInteriorExtremumError,
@@ -397,9 +398,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         ))
     for eps1, eps2, eps3, d, n1 in cases:
         k_x = k0 * n1 * np.sin(np.radians(np.linspace(40.0, 89.0, 200)))
-        matrix = [transfer_matrix_reflection([(eps1, 0.0), (eps2, d), (eps3, 0.0)],
-                                             kx, stack.wavelength_nm)
-                  for kx in k_x.tolist()]
+        matrix = transfer_matrix_reflection([(eps1, 0.0), (eps2, d), (eps3, 0.0)],
+                                            k_x, stack.wavelength_nm)
         worst = max(worst, float(np.max(abs(_rsp(eps1, eps2, eps3, d, k0, k_x) - matrix))))
     checks.append(("recursive vs transfer-matrix reflection", worst, 1e-10))
 
@@ -425,9 +425,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     # 4. vanishing film thickness reduces to the bare prism/analyte interface
     thin = dataclasses.replace(stack, thickness_nm=1e-12)
     k_x = tangential_wavevector(stack, IncidenceGeometry(np.linspace(40.0, 89.0, 100)))
-    two_layer = [transfer_matrix_reflection([(stack.eps_prism, 0.0), (stack.eps_analyte, 0.0)],
-                                            kx, stack.wavelength_nm)
-                 for kx in k_x.tolist()]
+    two_layer = transfer_matrix_reflection([(stack.eps_prism, 0.0), (stack.eps_analyte, 0.0)],
+                                           k_x, stack.wavelength_nm)
     worst = float(np.max(abs(_stack_rsp(thin, k_x, thin.n_analyte) - two_layer)))
     checks.append(("thin-film limit vs bare interface", worst, 1e-9))
 
@@ -467,7 +466,8 @@ def main(argv=None) -> int:
     try:
         args = _parse(argv)
         return _COMMANDS[args.command](args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, FresnelSingularityError,
+            metrology.DegenerateOperatingPointError, metrology.DivergenceError) as exc:
         print(f"plasmonq: error: {exc}", file=sys.stderr)
         return 2
 

@@ -214,29 +214,29 @@ def reflection_coefficient(stack: KretschmannStack, geom: IncidenceGeometry) -> 
     return ReflectionResult(r_sp=complex(r))
 
 
-def transfer_matrix_reflection(layers, k_x: float, wavelength_nm: float) -> complex:
+def transfer_matrix_reflection(layers, k_x, wavelength_nm: float):
     """TM reflection of an arbitrary planar stack via 2x2 characteristic matrices.
 
     ``layers`` is a sequence of ``(epsilon, thickness_nm)`` ordered from the
     incidence medium to the substrate; the first and last thicknesses are
-    ignored (semi-infinite).  Serves as an independent cross-check of
-    :func:`reflection_coefficient` for the three-layer case.
+    ignored (semi-infinite).  Broadcasts over ``k_x``; a scalar gives one
+    complex.  An independent cross-check of :func:`reflection_coefficient`
+    that shares only its ``k_z`` branch rule with the Airy kernel.
     """
     if len(layers) < 2:
         raise ValueError("need at least incidence medium and substrate")
-    kz = [wavevector_z(eps, k_x, wavelength_nm) for eps, _ in layers]
-    q = []
-    for (eps, _), kzl in zip(layers, kz):
-        if eps == 0:
-            raise FresnelSingularityError("zero permittivity layer")
-        q.append(kzl / eps)
+    if any(eps == 0 for eps, _ in layers):
+        raise FresnelSingularityError("zero permittivity layer")
+    k0 = 2.0 * math.pi / wavelength_nm
+    kz = [_decaying_sqrt(eps * k0 * k0 - k_x * k_x) for eps, _ in layers]
+    q = [kzl / eps for (eps, _), kzl in zip(layers, kz)]
     m00, m01, m10, m11 = 1.0 + 0j, 0j, 0j, 1.0 + 0j
-    for (eps, d), qq, kzl in zip(layers[1:-1], q[1:-1], kz[1:-1]):
-        if qq == 0:
+    for (_, d), qq, kzl in zip(layers[1:-1], q[1:-1], kz[1:-1]):
+        if np.count_nonzero(qq == 0):
             raise FresnelSingularityError("vanishing TM admittance inside the stack")
         delta = kzl * d
-        c = cmath.cos(delta)
-        s = cmath.sin(delta)
+        c = np.cos(delta)
+        s = np.sin(delta)
         a01 = -1j * s / qq
         a10 = -1j * qq * s
         m00, m01, m10, m11 = (
@@ -248,7 +248,7 @@ def transfer_matrix_reflection(layers, k_x: float, wavelength_nm: float) -> comp
     top = m00 + m01 * q[-1]
     bot = m10 + m11 * q[-1]
     den = q[0] * top + bot
-    if den == 0:
+    if np.count_nonzero(den == 0):
         raise FresnelSingularityError("singular characteristic matrix")
     return (q[0] * top - bot) / den
 

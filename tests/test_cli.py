@@ -9,8 +9,10 @@ import warnings
 
 import pytest
 
+from plasmonq import cli
 from plasmonq.cli import _emit, main
-from plasmonq.metrology import STATE_NAMES
+from plasmonq.fresnel import FresnelSingularityError
+from plasmonq.metrology import STATE_NAMES, DegenerateOperatingPointError, DivergenceError
 
 FAST_REFLECTANCE = ["reflectance", "--theta-min", "70", "--theta-max", "80",
                     "--theta-steps", "21"]
@@ -152,6 +154,33 @@ def test_config_file_with_flag_override(tmp_path, capsys):
                               "--n-steps", "2")
     assert out_74 == direct_74
     assert out_74 != out_73
+
+
+def test_degenerate_operating_point_is_an_error_line_not_a_traceback(capsys):
+    code, out, err = run_cli(capsys, "precision", "--eta", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("plasmonq: error: mean signal is stationary")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error", [FresnelSingularityError, DegenerateOperatingPointError,
+                                   DivergenceError])
+def test_typed_numerical_errors_exit_2(capsys, monkeypatch, error):
+    def fail(args):
+        raise error("planted")
+
+    monkeypatch.setitem(cli._COMMANDS, "validate", fail)
+    assert run_cli(capsys, "validate") == (2, "", "plasmonq: error: planted\n")
+
+
+def test_an_untyped_arithmetic_error_is_not_hidden(monkeypatch):
+    def fail(args):
+        raise ZeroDivisionError("a bug")
+
+    monkeypatch.setitem(cli._COMMANDS, "validate", fail)
+    with pytest.raises(ZeroDivisionError):
+        main(["validate"])
 
 
 def test_unknown_config_key_is_rejected(tmp_path, capsys):

@@ -150,6 +150,41 @@ def test_transfer_matrix_two_layer_reduction():
     assert abs(got - (q1 - q2) / (q1 + q2)) < 1e-14
 
 
+def test_transfer_matrix_array_call_matches_its_scalar_calls():
+    k0 = 2.0 * math.pi / WAVELENGTH
+    rng = np.random.default_rng(11)
+    stacks = [[(complex(2.28), 0.0), (complex(1.8, 0.1), 0.0)]]
+    for _ in range(8):
+        stacks.append([
+            (complex(rng.uniform(2.0, 2.9)), 0.0),
+            (complex(-rng.uniform(5.0, 30.0), rng.uniform(0.5, 5.0)), rng.uniform(20.0, 80.0)),
+            (complex(rng.uniform(1.69, 2.1), rng.uniform(0.0, 0.1)), 0.0),
+        ])
+    for layers in stacks:
+        n1 = math.sqrt(layers[0][0].real)
+        k_x = k0 * n1 * np.sin(np.radians(np.linspace(1.0, 89.0, 301)))
+        array = transfer_matrix_reflection(layers, k_x, WAVELENGTH)
+        scalar = [transfer_matrix_reflection(layers, kx, WAVELENGTH) for kx in k_x.tolist()]
+        assert array.shape == k_x.shape
+        assert all(isinstance(r, complex) for r in scalar)
+        assert np.max(abs(array - scalar)) < 1e-14
+        grid = transfer_matrix_reflection(layers, k_x.reshape(7, 43), WAVELENGTH)
+        assert np.max(abs(grid - array.reshape(7, 43))) < 1e-14
+
+
+def test_transfer_matrix_array_with_one_singular_element_raises():
+    wavelength = 2.0 * math.pi  # k0 = 1 exactly, so k_z below is exactly 0
+    assert 2.0 * math.pi / wavelength == 1.0
+    layers = [(complex(4.0), 0.0), (complex(2.25), 10.0), (complex(1.0), 0.0)]
+    assert wavevector_z(layers[1][0], 1.5, wavelength) == 0
+    for kx in (0.5, 1.9):
+        transfer_matrix_reflection(layers, kx, wavelength)  # regular elements
+    with pytest.raises(FresnelSingularityError):
+        transfer_matrix_reflection(layers, 1.5, wavelength)
+    with pytest.raises(FresnelSingularityError):
+        transfer_matrix_reflection(layers, np.array([0.5, 1.5, 1.9]), wavelength)
+
+
 def test_reflectance_is_passive_on_sample_grid():
     stack = make_stack()
     for theta in np.linspace(65.5, 83.5, 19):
