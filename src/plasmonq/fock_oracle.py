@@ -70,27 +70,40 @@ def joint_distribution(state: FockCoefficients) -> JointNumberDistribution:
     return JointNumberDistribution(np.abs(state.coeffs) ** 2)
 
 
-def _thinning_kernel(size: int, transmittance: float) -> np.ndarray:
-    """Matrix ``L[k, n] = C(n, k) T^k (1-T)^(n-k)`` (zero above the diagonal).
-
-    Built column by column with the Pascal recurrence
-    ``L[k, n] = T L[k-1, n-1] + (1-T) L[k, n-1]``: each column is a convex
-    combination of the previous one, so no binomial coefficient is formed
-    and nothing overflows at any size.
-    """
-    kernel = np.zeros((size, size))
-    kernel[0, 0] = 1.0
-    for n in range(1, size):
-        previous = kernel[:n, n - 1]
-        kernel[:n, n] = (1.0 - transmittance) * previous
-        kernel[1:n + 1, n] += transmittance * previous
-    return kernel
-
-
 # Columns per block when a kernel is applied in place.  Thinning then holds
 # three size x size matrices (input, result, one kernel) instead of five;
 # at the cutoffs past 1000 that bright TMSV states reach, each is ~10 MB.
+# It also caps the columns that one product adds when a kernel is built.
 _BLOCK = 64
+
+
+def _thinning_kernel(size: int, transmittance: float) -> np.ndarray:
+    """Matrix ``L[k, n] = C(n, k) T^k (1-T)^(n-k)`` (zero above the diagonal).
+
+    Column ``n`` is the Binomial(n, T) distribution, so column ``n0 + j`` is
+    column ``n0`` convolved with column ``j``.  From columns 0 and 1, each
+    step fills the next ``w = min(n0, _BLOCK, size - 1 - n0)`` columns with
+    one matrix product, so the width doubles up to ``_BLOCK``.  Every entry
+    is a non-negative combination of earlier entries with weights summing
+    to 1, as in the Pascal recurrence: no binomial coefficient is formed,
+    nothing overflows at any size, and entries stay exact to rounding.
+    """
+    kernel = np.zeros((size, size))
+    kernel[0, 0] = 1.0
+    if size > 1:
+        kernel[:2, 1] = (1.0 - transmittance, transmittance)
+    # shifted[k, i] = kernel[k - i, n0], gathered from a zero-padded column
+    shift = _BLOCK + np.arange(size)[:, np.newaxis] - np.arange(_BLOCK + 1)
+    padded = np.zeros(_BLOCK + size)
+    n0 = 1
+    while n0 < size - 1:
+        w = min(n0, _BLOCK, size - 1 - n0)
+        rows = n0 + w + 1  # every column filled here is zero below row n0 + w
+        padded[_BLOCK:_BLOCK + n0 + 1] = kernel[:n0 + 1, n0]
+        shifted = padded[shift[:rows, :w + 1]]
+        kernel[:rows, n0 + 1:n0 + w + 1] = shifted @ kernel[:w + 1, 1:w + 1]
+        n0 += w
+    return kernel
 
 
 def _thin_columns(probs: np.ndarray, kernel: np.ndarray) -> None:
@@ -109,8 +122,10 @@ def binomial_thinning(
             raise ValueError(f"{name} must lie in [0, 1], got {value}")
     size = dist.cutoff + 1
     thinned = np.array(dist.probs)  # writable copy, thinned in place
-    _thin_columns(thinned, _thinning_kernel(size, t_a))
-    _thin_columns(thinned.T, _thinning_kernel(size, t_b))  # mode b acts on rows
+    if t_a != 1.0:  # a lossless mode is left as it is
+        _thin_columns(thinned, _thinning_kernel(size, t_a))
+    if t_b != 1.0:
+        _thin_columns(thinned.T, _thinning_kernel(size, t_b))  # mode b acts on rows
     return JointNumberDistribution(thinned)
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -90,7 +91,7 @@ def test_thinning_scales_marginal_means_linearly():
 
 
 def test_thinning_kernel_matches_binomial_formula():
-    """The Pascal-recurrence kernel against C(n, k) T^k (1-T)^(n-k) by
+    """The kernel against C(n, k) T^k (1-T)^(n-k) by
     integer binomials; entries lie in [0, 1], so a few float64 ulps of 1."""
     for size in (1, 2, 60):
         for t in (0.0, 0.05, 0.37, 0.9, 1.0):
@@ -99,6 +100,41 @@ def test_thinning_kernel_matches_binomial_formula():
                 for k in range(n + 1):
                     reference[k, n] = math.comb(n, k) * t**k * (1.0 - t) ** (n - k)
             assert np.max(np.abs(_thinning_kernel(size, t) - reference)) <= 1e-15
+
+
+def test_thinning_kernel_matches_binomial_formula_across_block_edges():
+    """Sizes on either side of the widths 1, 2, 4, ..., 64 that the blocked
+    build fills per product, and past the first full-width block."""
+    largest = 200
+    for t in (0.0, 0.05, 0.37, 0.9, 1.0):
+        reference = np.zeros((largest, largest))
+        for n in range(largest):
+            for k in range(n + 1):
+                reference[k, n] = math.comb(n, k) * t**k * (1.0 - t) ** (n - k)
+        for size in (3, 4, 5, 63, 64, 65, 66, 127, 128, 129, 130, largest):
+            kernel = _thinning_kernel(size, t)
+            assert np.max(np.abs(kernel - reference[:size, :size])) <= 1e-15
+
+
+@pytest.mark.parametrize("t", [Fraction(3, 8), Fraction(31, 32)])
+def test_thinning_kernel_exact_at_overflow_size(t):
+    """At size 1117, where C(n, k) overflows float64, three columns against
+    exact rationals: dyadic T makes float(T) exact."""
+    size = 1117
+    kernel = _thinning_kernel(size, float(t))
+    assert np.all(np.isfinite(kernel))
+    assert np.all((kernel >= 0.0) & (kernel <= 1.0))
+    assert np.max(np.abs(kernel.sum(axis=0) - 1.0)) <= 1e-13
+    p, q, d = t.numerator, t.denominator - t.numerator, t.denominator
+    for n in (65, 700, 1116):
+        exact = np.array(
+            [math.comb(n, k) * p**k * q ** (n - k) / d**n for k in range(n + 1)]
+        )
+        column = kernel[:, n]
+        assert np.all(column[n + 1:] == 0.0)
+        big = exact > 1e-300
+        rel = np.abs(column[:n + 1][big] - exact[big]) / exact[big]
+        assert np.max(rel) <= 1e-12
 
 
 def test_single_photon_thinning_by_hand():
