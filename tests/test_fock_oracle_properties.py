@@ -26,7 +26,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-# Each family at per-mode mean N; the number-state families round N up.
+# Each registered family at per-mode mean N; the number-state families
+# round N up.
 CONSTRUCTORS = {
     "coherent": lambda n: coherent_product(math.sqrt(n)),
     "twin-fock": lambda n: twin_fock(math.ceil(n)),
@@ -36,13 +37,9 @@ CONSTRUCTORS = {
 }
 
 
-def test_every_family_has_a_constructor():
-    assert set(CONSTRUCTORS) == set(STATE_FAMILIES)
-
-
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(
-    family=st.sampled_from(sorted(CONSTRUCTORS)),
+    family=st.sampled_from(STATE_FAMILIES),
     n_photons=st.floats(0.01, 3.0),
     r_abs=st.floats(0.0, 1.0),
     eta_a=st.floats(0.0, 1.0),
