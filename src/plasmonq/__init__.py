@@ -13,7 +13,9 @@ from .fresnel import (
     IncidenceGeometry,
     KretschmannStack,
     NoInteriorExtremumError,
+    Sensor,
     inflection_index,
+    reflection,
     reflection_coefficient,
     resonance_angle,
     sensitivity,
@@ -70,7 +72,9 @@ __all__ = [
     "IncidenceGeometry",
     "KretschmannStack",
     "NoInteriorExtremumError",
+    "Sensor",
     "inflection_index",
+    "reflection",
     "reflection_coefficient",
     "resonance_angle",
     "sensitivity",

@@ -22,13 +22,12 @@ from . import fock_oracle, metrology
 from .fresnel import (
     FresnelSingularityError,
     IncidenceGeometry,
-    KretschmannStack,
     NoInteriorExtremumError,
+    Sensor,
     _rsp,
-    _stack_rsp,
     _steepest_flank,
+    reflection,
     sensitivity,
-    tangential_wavevector,
     transfer_matrix_reflection,
 )
 from .materials import GOLD_DRUDE_LORENTZ, gold_dispersion, load_dispersion
@@ -214,20 +213,9 @@ def _resolve_metal(args: argparse.Namespace):
         return load_dispersion(fh, source_label=str(path))
 
 
-def _make_stack(args: argparse.Namespace, n_analyte: float, metal=None) -> KretschmannStack:
-    return KretschmannStack(
-        n_prism=args.n_prism,
-        metal=_resolve_metal(args) if metal is None else metal,
-        thickness_nm=args.thickness,
-        n_analyte=n_analyte,
-        wavelength_nm=args.wavelength,
-    )
-
-
-def _sweep_stack(args: argparse.Namespace) -> KretschmannStack:
-    """Stack at the index grid's midpoint, for sweeps that pass n per point."""
-    n_min, n_max = _index_range(args)
-    return _make_stack(args, (n_min + n_max) / 2.0)
+def _sensor(args: argparse.Namespace) -> Sensor:
+    return Sensor(n_prism=args.n_prism, metal=_resolve_metal(args),
+                  thickness_nm=args.thickness, wavelength_nm=args.wavelength)
 
 
 def _balanced_eta(args: argparse.Namespace) -> float:
@@ -290,13 +278,11 @@ def _write(args: argparse.Namespace, text: str) -> None:
 def cmd_reflectance(args: argparse.Namespace) -> int:
     curves = args.n_analyte if args.n_analyte else (1.39, 1.395)
     thetas = _theta_grid(args)
-    metal = _resolve_metal(args)
+    sensor = _sensor(args)
     columns = {"n_analyte": [], "theta_deg": thetas * len(curves), "reflectance": []}
     for n in curves:
-        stack = _make_stack(args, n, metal)
-        k_x = tangential_wavevector(stack, IncidenceGeometry(thetas))
         columns["n_analyte"] += [n] * len(thetas)
-        columns["reflectance"] += (abs(_stack_rsp(stack, k_x, n)) ** 2).tolist()
+        columns["reflectance"] += (abs(reflection(sensor, thetas, n)) ** 2).tolist()
     _emit(args, columns)
     return 0
 
@@ -304,9 +290,9 @@ def cmd_reflectance(args: argparse.Namespace) -> int:
 def cmd_index_sweep(args: argparse.Namespace) -> int:
     geom = IncidenceGeometry(args.theta)
     grid = _index_grid(args)
-    stack = _sweep_stack(args)
-    refl = abs(_stack_rsp(stack, tangential_wavevector(stack, geom), grid)) ** 2
-    slopes = sensitivity(stack, geom, grid, h=args.fd_step)
+    sensor = _sensor(args)
+    refl = abs(reflection(sensor, args.theta, grid)) ** 2
+    slopes = sensitivity(sensor, geom, grid, h=args.fd_step)
     _emit(args, {"n_analyte": grid, "reflectance": refl.tolist(),
                  "sensitivity": slopes.tolist()})
     return 0
@@ -314,7 +300,7 @@ def cmd_index_sweep(args: argparse.Namespace) -> int:
 
 def cmd_inflection(args: argparse.Namespace) -> int:
     thetas = _theta_grid(args)
-    found = _steepest_flank(_sweep_stack(args), thetas, _index_range(args), tol=1e-9,
+    found = _steepest_flank(_sensor(args), thetas, _index_range(args), tol=1e-9,
                             h=args.fd_step, grid_points=args.grid_points)
     columns = {"theta_deg": [], "n_inf": []}
     for theta, n_inf in zip(thetas, found):
@@ -331,9 +317,8 @@ def cmd_inflection(args: argparse.Namespace) -> int:
 def cmd_ratio(args: argparse.Namespace) -> int:
     eta = _balanced_eta(args)
     stats = family_statistics("twin-fock" if args.state is None else args.state, args.photons)
-    stack = _sweep_stack(args)
     geom = IncidenceGeometry(args.theta)
-    pairs = metrology.sweep_ratio(stack, geom, _index_grid(args), stats, eta)
+    pairs = metrology.sweep_ratio(_sensor(args), geom, _index_grid(args), stats, eta)
     _emit(args, {"n_analyte": [n for n, _ in pairs], "R": [r for _, r in pairs]})
     return 0
 
@@ -343,7 +328,7 @@ def cmd_precision(args: argparse.Namespace) -> int:
               else [state_family(args.state)])
     thetas = _theta_grid(args)
     rows = metrology.sweep_precision_vs_angle(
-        _sweep_stack(args), thetas, states, n_photons=args.photons, eta=_balanced_eta(args),
+        _sensor(args), thetas, states, n_photons=args.photons, eta=_balanced_eta(args),
         n_range=_index_range(args), h=args.fd_step, grid_points=args.grid_points)
     _note_if_empty(args, thetas, rows)
     _emit(args, {name: [row[name] for row in rows]
@@ -383,10 +368,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     # 2. layered-reflection equivalence: recursive form vs transfer matrices
     worst = 0.0
-    stack = _make_stack(args, 1.38)
-    k0 = 2.0 * math.pi / stack.wavelength_nm
-    cases = [(stack.eps_prism, stack.metal_permittivity, stack.eps_analyte,
-              stack.thickness_nm, stack.n_prism)]
+    sensor = _sensor(args)
+    k0 = 2.0 * math.pi / sensor.wavelength_nm
+    n_analyte = 1.38  # the analyte of checks 2 and 4
+    eps_analyte = complex(n_analyte * n_analyte)
+    cases = [(sensor.eps_prism, sensor.metal_permittivity, eps_analyte,
+              sensor.thickness_nm, sensor.n_prism)]
     for _ in range(5):
         eps1 = complex(rng.uniform(2.0, 2.9))
         cases.append((
@@ -399,7 +386,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     for eps1, eps2, eps3, d, n1 in cases:
         k_x = k0 * n1 * np.sin(np.radians(np.linspace(40.0, 89.0, 200)))
         matrix = transfer_matrix_reflection([(eps1, 0.0), (eps2, d), (eps3, 0.0)],
-                                            k_x, stack.wavelength_nm)
+                                            k_x, sensor.wavelength_nm)
         worst = max(worst, float(np.max(abs(_rsp(eps1, eps2, eps3, d, k0, k_x) - matrix))))
     checks.append(("recursive vs transfer-matrix reflection", worst, 1e-10))
 
@@ -423,18 +410,18 @@ def cmd_validate(args: argparse.Namespace) -> int:
     checks.append(("enhancement ratio vs moment formulas", worst, 1e-12))
 
     # 4. vanishing film thickness reduces to the bare prism/analyte interface
-    thin = dataclasses.replace(stack, thickness_nm=1e-12)
-    k_x = tangential_wavevector(stack, IncidenceGeometry(np.linspace(40.0, 89.0, 100)))
-    two_layer = transfer_matrix_reflection([(stack.eps_prism, 0.0), (stack.eps_analyte, 0.0)],
-                                           k_x, stack.wavelength_nm)
-    worst = float(np.max(abs(_stack_rsp(thin, k_x, thin.n_analyte) - two_layer)))
+    thin = dataclasses.replace(sensor, thickness_nm=1e-12)
+    thetas = np.linspace(40.0, 89.0, 100)
+    k_x = k0 * sensor.n_prism * np.sin(np.radians(thetas))
+    two_layer = transfer_matrix_reflection([(sensor.eps_prism, 0.0), (eps_analyte, 0.0)],
+                                           k_x, sensor.wavelength_nm)
+    worst = float(np.max(abs(reflection(thin, thetas, n_analyte) - two_layer)))
     checks.append(("thin-film limit vs bare interface", worst, 1e-9))
 
     # 5. passivity: reflectance never exceeds unity (one kernel call over the
     # 37 x 109 grid; a NaN reflectance propagates into the deviation and fails)
-    k_x = tangential_wavevector(stack, IncidenceGeometry(
-        np.linspace(args.theta_min, args.theta_max, 37)))
-    refl = abs(_stack_rsp(stack, k_x[:, np.newaxis],
+    thetas = np.linspace(args.theta_min, args.theta_max, 37)
+    refl = abs(reflection(sensor, thetas[:, np.newaxis],
                           np.linspace(*_index_range(args), 109))) ** 2
     checks.append(("passivity (reflectance <= 1)", max(float(np.max(refl)) - 1.0, 0.0), 0.0))
 

@@ -3,9 +3,10 @@
 Fields evolve as ``e^{-i omega t}``; normal wave-vector components take the
 branch ``Im(k_z) >= 0`` (ties broken toward ``Re(k_z) >= 0``) so evanescent
 and absorbed waves decay.  Lengths are in nm, wave vectors in rad/nm,
-angles in degrees.  Sweeps take arrays: angles (through
-:class:`IncidenceGeometry`) and analyte indices broadcast through one numpy
-reflection kernel, so a whole grid costs one kernel call.
+angles in degrees.  A :class:`Sensor` is the fixed hardware (prism, film,
+wavelength); the analyte index is the quantity being estimated, so it is an
+argument, not a field.  :func:`reflection` broadcasts angles against analyte
+indices through one numpy kernel, so a whole grid costs one kernel call.
 """
 
 from __future__ import annotations
@@ -22,12 +23,14 @@ __all__ = [
     "FresnelSingularityError",
     "NoInteriorExtremumError",
     "IncidenceGeometry",
+    "Sensor",
     "KretschmannStack",
     "ReflectionResult",
     "resolve_permittivity",
     "tangential_wavevector",
     "wavevector_z",
     "interface_reflection",
+    "reflection",
     "reflection_coefficient",
     "transfer_matrix_reflection",
     "resonance_angle",
@@ -78,27 +81,23 @@ class IncidenceGeometry:
 
 
 @dataclass(frozen=True)
-class KretschmannStack:
-    """Three-layer sensing stack: prism | metal film | analyte."""
+class Sensor:
+    """The fixed sensing hardware: prism | metal film of given thickness, at
+    one vacuum wavelength.  The analyte index is passed per call."""
 
     n_prism: float
     metal: object
     thickness_nm: float
-    n_analyte: float
     wavelength_nm: float
 
     def __post_init__(self):
         if not self.n_prism > 1.0:
             raise ValueError(f"n_prism={self.n_prism} must exceed 1")
-        if not 0.0 < self.n_analyte < self.n_prism:
-            raise ValueError(
-                f"n_analyte={self.n_analyte} must lie in (0, n_prism={self.n_prism})"
-            )
         if not self.thickness_nm > 0.0:
             raise ValueError("thickness_nm must be positive")
         if not self.wavelength_nm > 0.0:
             raise ValueError("wavelength_nm must be positive")
-        # Resolve the film permittivity once; the stack wavelength is fixed.
+        # Resolve the film permittivity once; the wavelength is fixed.
         object.__setattr__(
             self, "_eps_metal", resolve_permittivity(self.metal, self.wavelength_nm)
         )
@@ -110,6 +109,20 @@ class KretschmannStack:
     @property
     def eps_prism(self) -> complex:
         return complex(self.n_prism * self.n_prism)
+
+
+@dataclass(frozen=True, init=False)
+class KretschmannStack(Sensor):
+    """Three-layer sensing stack: a :class:`Sensor` plus one analyte index."""
+
+    n_analyte: float
+
+    def __init__(self, n_prism: float, metal: object, thickness_nm: float,
+                 n_analyte: float, wavelength_nm: float):
+        super().__init__(n_prism, metal, thickness_nm, wavelength_nm)
+        object.__setattr__(self, "n_analyte", n_analyte)
+        if not 0.0 < n_analyte < n_prism:
+            raise ValueError(f"n_analyte={n_analyte} must lie in (0, n_prism={n_prism})")
 
     @property
     def eps_analyte(self) -> complex:
@@ -123,10 +136,6 @@ class ReflectionResult:
     r_sp: complex
 
     @property
-    def amplitude(self) -> float:
-        return abs(self.r_sp)
-
-    @property
     def phase(self) -> float:
         p = cmath.phase(self.r_sp)
         return math.pi if p == -math.pi else p
@@ -137,9 +146,7 @@ class ReflectionResult:
         return a * a
 
 
-def tangential_wavevector(
-    stack: KretschmannStack, geom: IncidenceGeometry
-) -> float | np.ndarray:
+def tangential_wavevector(stack: Sensor, geom: IncidenceGeometry) -> float | np.ndarray:
     """Conserved in-plane wave vector k_x = (2 pi / lambda) n_prism sin(theta)."""
     k0 = 2.0 * math.pi / stack.wavelength_nm
     return k0 * stack.n_prism * np.sin(np.radians(geom.theta_deg))
@@ -192,26 +199,28 @@ def _rsp(eps1, eps2, eps3, thickness_nm, k0, k_x):
     return (ph * r23 + r12) / den
 
 
-def _stack_rsp(stack: KretschmannStack, k_x, n_analyte):
-    """``r_sp`` of ``stack`` with its analyte index set to ``n_analyte``.
+def reflection(sensor: Sensor, theta_deg, n_analyte):
+    """Complex TM reflection coefficient ``r_sp`` of ``sensor`` at incidence
+    angle ``theta_deg`` over an analyte of index ``n_analyte``.
 
-    Broadcasts over ``k_x`` and ``n_analyte``; every index must lie in
-    ``(0, n_prism)``.
+    Angles and indices broadcast against each other (e.g. ``thetas[:, None]``
+    against a row of indices); scalar inputs give a numpy scalar.  Every
+    angle must lie in (0, 90) and every index in ``(0, n_prism)``.
     """
+    k_x = tangential_wavevector(sensor, IncidenceGeometry(theta_deg))
     n = np.asarray(n_analyte, dtype=float)
-    outside = n[~((0.0 < n) & (n < stack.n_prism))]
+    outside = n[~((0.0 < n) & (n < sensor.n_prism))]
     if outside.size:
         raise ValueError(
-            f"n_analyte={outside[0]} must lie in (0, n_prism={stack.n_prism})"
+            f"n_analyte={outside[0]} must lie in (0, n_prism={sensor.n_prism})"
         )
-    return _rsp(stack.eps_prism, stack.metal_permittivity, n * n,
-                stack.thickness_nm, 2.0 * math.pi / stack.wavelength_nm, k_x)
+    return _rsp(sensor.eps_prism, sensor.metal_permittivity, n * n,
+                sensor.thickness_nm, 2.0 * math.pi / sensor.wavelength_nm, k_x)
 
 
 def reflection_coefficient(stack: KretschmannStack, geom: IncidenceGeometry) -> ReflectionResult:
-    """Three-layer TM reflection coefficient of the stack at ``geom``."""
-    r = _stack_rsp(stack, tangential_wavevector(stack, geom), stack.n_analyte)
-    return ReflectionResult(r_sp=complex(r))
+    """Scalar :func:`reflection` of the stack at ``geom``, at its own analyte index."""
+    return ReflectionResult(r_sp=complex(reflection(stack, geom.theta_deg, stack.n_analyte)))
 
 
 def transfer_matrix_reflection(layers, k_x, wavelength_nm: float):
@@ -220,7 +229,7 @@ def transfer_matrix_reflection(layers, k_x, wavelength_nm: float):
     ``layers`` is a sequence of ``(epsilon, thickness_nm)`` ordered from the
     incidence medium to the substrate; the first and last thicknesses are
     ignored (semi-infinite).  Broadcasts over ``k_x``; a scalar gives one
-    complex.  An independent cross-check of :func:`reflection_coefficient`
+    complex.  An independent cross-check of :func:`reflection`
     that shares only its ``k_z`` branch rule with the Airy kernel.
     """
     if len(layers) < 2:
@@ -310,15 +319,14 @@ def resonance_angle(
     if grid_points < 3:
         raise ValueError("grid_points must be at least 3")
     def refl(theta):
-        k_x = tangential_wavevector(stack, IncidenceGeometry(theta))
-        return abs(_stack_rsp(stack, k_x, stack.n_analyte)) ** 2
+        return abs(reflection(stack, theta, stack.n_analyte)) ** 2
 
     bracket = _grid_bracket(refl, lo, hi, grid_points, "reflectance minimum at theta")
     return float(_golden_minimize(refl, *bracket, tol))
 
 
 def sensitivity(
-    stack: KretschmannStack,
+    stack: Sensor,
     geom: IncidenceGeometry,
     n_analyte: float | np.ndarray,
     h: float = 1e-6,
@@ -331,8 +339,7 @@ def sensitivity(
     if h <= 0.0:
         raise ValueError("finite-difference step h must be positive")
     n = np.asarray(n_analyte, dtype=float)
-    r = _stack_rsp(stack, tangential_wavevector(stack, geom), np.stack([n + h, n - h]))
-    refl = abs(r) ** 2
+    refl = abs(reflection(stack, geom.theta_deg, np.stack([n + h, n - h]))) ** 2
     return (refl[0] - refl[1]) / (2.0 * h)
 
 
@@ -344,7 +351,7 @@ _TIR_MARGIN = 1e-3
 
 
 def inflection_index(
-    stack: KretschmannStack,
+    stack: Sensor,
     geom: IncidenceGeometry,
     n_range: tuple[float, float] = (1.333, 1.4422),
     tol: float = 1e-9,
@@ -368,7 +375,7 @@ def inflection_index(
     return n_inf
 
 
-def _steepest_flank(stack: KretschmannStack, thetas, n_range: tuple[float, float],
+def _steepest_flank(stack: Sensor, thetas, n_range: tuple[float, float],
                     tol: float, h: float, grid_points: int) -> list:
     """:func:`inflection_index` at each angle of ``thetas``: its ``n_inf``, or
     the :class:`NoInteriorExtremumError` raised there.  Each angle is scanned

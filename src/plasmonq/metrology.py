@@ -16,14 +16,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .fresnel import (
-    IncidenceGeometry,
-    KretschmannStack,
-    NoInteriorExtremumError,
-    _stack_rsp,
-    _steepest_flank,
-    tangential_wavevector,
-)
+from .fresnel import (IncidenceGeometry, NoInteriorExtremumError, Sensor, _steepest_flank,
+                      reflection)
 from .quantum_states import PhotonStatistics
 
 __all__ = [
@@ -218,7 +212,7 @@ def family_statistics(family: str, n_photons: float) -> PhotonStatistics:
 
 
 def precision(
-    stack: KretschmannStack,
+    stack: Sensor,
     geom: IncidenceGeometry,
     n_analyte: float,
     state_stats: PhotonStatistics,
@@ -233,8 +227,7 @@ def precision(
     """
     if h <= 0.0:
         raise ValueError("finite-difference step h must be positive")
-    k_x = tangential_wavevector(stack, geom)
-    r_abs = abs(_stack_rsp(stack, k_x, [n_analyte - h, n_analyte, n_analyte + h]))
+    r_abs = abs(reflection(stack, geom.theta_deg, [n_analyte - h, n_analyte, n_analyte + h]))
     return _precision_at(*r_abs.tolist(), n_analyte, state_stats, eff, h)
 
 
@@ -253,7 +246,7 @@ def _precision_at(r_lo: float, r_mid: float, r_hi: float, n_analyte: float,
 
 
 def sweep_ratio(
-    stack: KretschmannStack,
+    stack: Sensor,
     geom: IncidenceGeometry,
     n_grid,
     state_stats: PhotonStatistics,
@@ -265,7 +258,7 @@ def sweep_ratio(
     NaN; the sweep always returns one pair per grid point.
     """
     grid = [float(n) for n in n_grid]
-    r_abs = abs(_stack_rsp(stack, tangential_wavevector(stack, geom), grid))
+    r_abs = abs(reflection(stack, geom.theta_deg, grid))
     out: list[tuple[float, float]] = []
     for n, r in zip(grid, r_abs.tolist()):
         try:
@@ -278,7 +271,7 @@ def sweep_ratio(
 
 
 def sweep_precision_vs_angle(
-    stack: KretschmannStack,
+    stack: Sensor,
     theta_grid,
     states,
     n_photons: float = 1.0,
@@ -316,9 +309,8 @@ def sweep_precision_vs_angle(
         else:
             thetas.append(float(theta))
             n_infs.append(n_inf)
-    k_x = tangential_wavevector(stack, IncidenceGeometry(thetas))
-    r_abs = abs(_stack_rsp(stack, k_x, [[n - h for n in n_infs], n_infs,
-                                        [n + h for n in n_infs]]))
+    r_abs = abs(reflection(stack, thetas, [[n - h for n in n_infs], n_infs,
+                                           [n + h for n in n_infs]]))
     rows: list[dict] = []
     for theta, n_inf, r in zip(thetas, n_infs, r_abs.T.tolist()):
         for label, stats in resolved:

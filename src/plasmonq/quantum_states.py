@@ -273,7 +273,8 @@ def statistics(state: FockCoefficients) -> PhotonStatistics:
     if var_a == 0.0 or var_b == 0.0:
         j_corr = 1.0
     else:
-        j_corr = cov / math.sqrt(var_a * var_b)
+        # two square roots: the product var_a * var_b underflows below ~1e-162
+        j_corr = cov / (math.sqrt(var_a) * math.sqrt(var_b))
         j_corr = min(1.0, max(-1.0, j_corr))
     return PhotonStatistics(mean_a=mean_a, mean_b=mean_b, q_mandel=q_mandel,
                             sigma=sigma, j_corr=j_corr)

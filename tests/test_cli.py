@@ -210,6 +210,20 @@ def test_unphysical_analyte_is_an_input_error(capsys):
     assert "n_prism" in err
 
 
+@pytest.mark.parametrize("command", ["index-sweep", "ratio", "precision"])
+def test_an_index_range_past_the_prism_names_the_given_range(capsys, command):
+    # 1.5665 and 1.55 are the midpoints of the grid and search ranges: the
+    # error must name an index the user gave, not one made up from them
+    code, out, err = run_cli(capsys, command, "--n-max", "1.8")
+    assert code == 2
+    assert out == ""
+    assert "1.5665" not in err and "1.55 " not in err
+    if command == "precision":
+        assert "n_range (1.3, 1.8) must be ordered inside" in err
+    else:
+        assert "n_analyte=1.5109" in err
+
+
 def test_dispersion_file_and_env_fallback(tmp_path, capsys, monkeypatch):
     table = "wavelength_nm,n,k\n700,0.16,4.0\n900,0.25,5.3\n"
     direct = tmp_path / "mygold.csv"
@@ -322,10 +336,14 @@ def test_inflection_search_floor_defaults_below_grid_floor(capsys):
 
 
 def test_explicit_n_min_is_the_search_floor(capsys):
-    with pytest.warns(UserWarning, match="skipped"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code, out, _ = run_cli(capsys, *INFLECTION_AT_65_5, "--n-min", "1.333")
     assert code == 0
     assert out == "theta_deg,n_inf\n"
+    messages = [str(w.message) for w in caught]
+    assert sum("skipped" in m for m in messages) == 1
+    assert sum("no angle produced a row (1 tried)" in m for m in messages) == 1
 
 
 def test_search_bounds_are_checked_against_the_search_floor(capsys):

@@ -11,11 +11,13 @@ from plasmonq.fresnel import (
     KretschmannStack,
     NoInteriorExtremumError,
     ReflectionResult,
+    Sensor,
     _golden_minimize,
     _rsp,
     _steepest_flank,
     inflection_index,
     interface_reflection,
+    reflection,
     reflection_coefficient,
     resonance_angle,
     sensitivity,
@@ -116,6 +118,34 @@ def test_film_matching_prism_only_adds_propagation_phase():
     assert result.reflectance == pytest.approx(abs(bare) ** 2, rel=1e-12)
     expected = bare * cmath.exp(2j * k1z * stack.thickness_nm)
     assert result.r_sp == pytest.approx(expected, rel=1e-12)
+
+
+def test_reflection_grid_equals_the_scalar_stack_calls():
+    sensor = Sensor(n_prism=PRISM, metal=gold_dispersion(), thickness_nm=50.0,
+                    wavelength_nm=WAVELENGTH)
+    thetas = np.linspace(66.0, 82.0, 7)
+    ns = np.linspace(1.333, 1.4422, 9)
+    grid = reflection(sensor, thetas[:, None], ns)
+    assert grid.shape == (7, 9)
+    # every array call multiplies in the same numpy loop: bit for bit
+    for i, theta in enumerate(thetas):
+        assert np.array_equal(grid[i], reflection(sensor, theta, ns))
+    for j, n in enumerate(ns):
+        assert np.array_equal(grid[:, j], reflection(sensor, thetas, n))
+    # a 0-d call multiplies complex numbers in numpy's scalar code, which may
+    # round differently from the (SIMD) array loop: a few ulp, not bit for bit
+    for i, theta in enumerate(thetas):
+        for j, n in enumerate(ns):
+            scalar = reflection_coefficient(make_stack(float(n)), IncidenceGeometry(theta))
+            assert grid[i, j] == pytest.approx(scalar.r_sp, rel=0.0, abs=1e-15)
+
+
+def test_reflection_checks_every_angle_and_index():
+    sensor = make_stack()
+    with pytest.raises(ValueError, match="theta_deg=90"):
+        reflection(sensor, [70.0, 90.0], 1.38)
+    with pytest.raises(ValueError, match=f"n_analyte={PRISM} must lie in"):
+        reflection(sensor, 73.0, [1.38, PRISM])
 
 
 def test_transfer_matrix_agrees_with_recursive_form():
@@ -379,11 +409,13 @@ def test_inflection_search_needs_a_tir_window():
     ],
 )
 def test_stack_validation(kwargs):
-    base = dict(n_prism=PRISM, metal=-20.0, thickness_nm=50.0,
-                n_analyte=1.38, wavelength_nm=WAVELENGTH)
+    base = dict(n_prism=PRISM, metal=-20.0, thickness_nm=50.0, wavelength_nm=WAVELENGTH)
     base.update(kwargs)
     with pytest.raises(ValueError):
-        KretschmannStack(**base)
+        KretschmannStack(**{"n_analyte": 1.38, **base})
+    if "n_analyte" not in kwargs:  # a fault of the hardware alone is the sensor's
+        with pytest.raises(ValueError):
+            Sensor(**base)
 
 
 @pytest.mark.parametrize("theta", [0.0, -5.0, 90.0, 180.0])

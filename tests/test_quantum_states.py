@@ -239,6 +239,12 @@ def test_statistics_requires_photons():
         statistics(coherent_product(0.0))
 
 
+def test_statistics_of_tiny_variances_do_not_underflow():
+    # var_a = var_b = 1e-300: their product underflows to 0, each root does not
+    stats = statistics(FockCoefficients([[1.0, 0.0], [0.0, 1e-150]]))
+    assert stats.j_corr == 1.0
+
+
 # ------------------------------------------------------------------ predicates
 
 def test_is_twin_mode_rejects_asymmetric():
