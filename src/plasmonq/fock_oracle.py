@@ -1,14 +1,18 @@
 """Brute-force check of the measurement moments, free of closed forms.
 
 The sensor arm and the two detector inefficiencies act on photon number as
-beam splitters with vacuum ancillas, i.e. binomial thinning of the joint
-number distribution with intensity transmittances ``T_a = |r_sp|^2 eta_a^2``
-and ``T_b = eta_b^2``.  This module realises exactly that: build
-``P(n, m) = |C_{n,m}|^2``, thin it with explicit binomial kernels, and read
-the difference moments off by direct summation.  None of the closed-form
-moment expressions from :mod:`plasmonq.metrology` are used here — only its
-result/parameter *types* are shared — so agreement between the two modules
-is a genuine cross-check, not a tautology.
+beam splitters with vacuum ancillas, i.e. binomial thinning of each mode
+with intensity transmittances ``T_a = |r_sp|^2 eta_a^2`` and
+``T_b = eta_b^2``.  :func:`binomial_thinning` applies explicit binomial
+kernels to the joint number distribution ``P(n, m) = |C_{n,m}|^2`` (the
+Schrödinger picture).  :func:`oracle_measurement` needs only the moments of
+``l - k``, so it works in the Heisenberg picture of the same channels: each
+kernel is summed into the mean and variance of the detected count given the
+input count, and these are summed over ``P(n, m)`` by the law of total
+variance.  That is the same direct sum over the same kernels, reordered.
+None of the closed-form moment expressions from :mod:`plasmonq.metrology`
+are used here — only its result/parameter *types* are shared — so
+agreement between the two modules is a genuine cross-check, not a tautology.
 """
 
 from __future__ import annotations
@@ -70,10 +74,11 @@ def joint_distribution(state: FockCoefficients) -> JointNumberDistribution:
     return JointNumberDistribution(np.abs(state.coeffs) ** 2)
 
 
-# Columns per block when a kernel is applied in place.  Thinning then holds
-# three size x size matrices (input, result, one kernel) instead of five;
-# at the cutoffs past 1000 that bright TMSV states reach, each is ~10 MB.
-# It also caps the columns that one product adds when a kernel is built.
+# Columns per block when a kernel is applied in place or reduced to moments.
+# binomial_thinning then holds its input, its result and one kernel, and
+# oracle_measurement only the distribution and one kernel; at the cutoffs
+# past 1000 that bright TMSV states reach, each is ~10 MB.  It also caps the
+# columns that one product adds when a kernel is built.
 _BLOCK = 64
 
 
@@ -129,22 +134,57 @@ def binomial_thinning(
     return JointNumberDistribution(thinned)
 
 
+def _count_moments(size: int, transmittance: float) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance of the detected count, one entry per input count.
+
+    Entry ``n`` sums column ``n`` of the explicit kernel directly: the mean
+    ``sum_k k L[k, n]`` and the centred ``sum_k (k - mean[n])^2 L[k, n]``.
+    A lossless mode needs no kernel; it keeps every count exactly.
+    """
+    counts = np.arange(size, dtype=float)
+    if transmittance == 1.0:
+        return counts, np.zeros(size)
+    kernel = _thinning_kernel(size, transmittance)
+    mean = counts @ kernel
+    var = np.empty(size)
+    for start in range(0, size, _BLOCK):
+        end = min(start + _BLOCK, size)  # column n is zero below row n
+        spread = counts[:end, np.newaxis] - mean[start:end]  # k - mean[n] at (k, n)
+        spread *= spread
+        spread *= kernel[:end, start:end]
+        var[start:end] = spread.sum(axis=0)
+    return mean, var
+
+
 def oracle_measurement(
     state: FockCoefficients, r_abs: float, eff: ChannelEfficiencies
 ) -> MeasurementStats:
-    """Difference moments by direct summation over the thinned distribution."""
+    """Moments of the difference ``l - k`` through the adjoint channels.
+
+    With the per-count moments of each channel, the mean is
+    ``sum_m p_b[m] mean_b[m] - sum_n p_a[n] mean_a[n]`` over the marginals,
+    and the variance is the expected conditional variance plus the spread
+    of the conditional means.  No size^3 product is run and no thinned
+    distribution is formed; one kernel is held at a time.
+    """
     if not 0.0 <= r_abs <= 1.0:
         raise ValueError(f"r_abs must lie in [0, 1], got {r_abs}")
-    thinned = binomial_thinning(
-        joint_distribution(state), r_abs**2 * eff.eta_a**2, eff.eta_b**2
+    probs = joint_distribution(state).probs
+    size = probs.shape[0]
+    mean_a, var_a = _count_moments(size, r_abs**2 * eff.eta_a**2)
+    mean_b, var_b = _count_moments(size, eff.eta_b**2)
+    p_a, p_b = probs.sum(axis=1), probs.sum(axis=0)
+    mean = float(p_b @ mean_b - p_a @ mean_a)
+    # Law of total variance over the input counts (n, m).  The last term
+    # keeps ``E[(l - k)^2] - mean^2`` when the probabilities sum below 1.
+    spread = (mean_b - mean)[np.newaxis, :] - mean_a[:, np.newaxis]
+    spread *= spread
+    spread *= probs
+    variance = (
+        float(p_a @ var_a + p_b @ var_b + spread.sum())
+        + mean * mean * (1.0 - float(probs.sum()))
     )
-    counts = np.arange(thinned.cutoff + 1, dtype=float)
-    diff = counts[np.newaxis, :] - counts[:, np.newaxis]  # l - k at (k, l)
-    weighted = diff * thinned.probs
-    mean = float(np.sum(weighted))
-    weighted *= diff  # in place: one matrix fewer at large cutoffs
-    second = float(np.sum(weighted))
-    return MeasurementStats(mean=mean, std=math.sqrt(max(0.0, second - mean * mean)))
+    return MeasurementStats(mean=mean, std=math.sqrt(max(0.0, variance)))
 
 
 def oracle_ratio(

@@ -20,6 +20,7 @@ from plasmonq.metrology import (
     signal_std,
 )
 from plasmonq.quantum_states import (
+    FockCoefficients,
     coherent_product,
     noon,
     squeezed_product,
@@ -32,6 +33,20 @@ from plasmonq.quantum_states import (
 def random_distribution(rng, size=10):
     probs = rng.random((size, size))
     return JointNumberDistribution(probs / probs.sum() * rng.uniform(0.3, 1.0))
+
+
+def thinned_moments(state, r_abs, eff):
+    """Schrödinger-picture reference: thin the joint distribution itself with
+    ``T_a = r^2 eta_a^2`` and ``T_b = eta_b^2``, then sum ``l - k`` and
+    ``(l - k)^2`` over the thinned ``P(k, l)``."""
+    thinned = binomial_thinning(
+        joint_distribution(state), r_abs**2 * eff.eta_a**2, eff.eta_b**2
+    ).probs
+    counts = np.arange(thinned.shape[0], dtype=float)
+    diff = counts[np.newaxis, :] - counts[:, np.newaxis]  # l - k at (k, l)
+    mean = float(np.sum(diff * thinned))
+    second = float(np.sum(diff * diff * thinned))
+    return mean, math.sqrt(max(0.0, second - mean * mean))
 
 
 def test_joint_distribution_examples():
@@ -175,6 +190,39 @@ def test_oracle_agrees_with_moment_formulas(build, r2, etas):
     assert brute.std == pytest.approx(
         signal_std(r_abs, eff, stats.mean_a, stats.q_mandel, stats.sigma), abs=1e-12
     )
+
+
+def _cut_tmsv():
+    """TMSV at N = 2 cut to 6 x 6, so a tenth of its mass is missing."""
+    state = FockCoefficients(tmsv(2.0).coeffs[:6, :6])
+    assert state.truncation_weight > 0.05
+    return state
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: coherent_product(1.0),
+        lambda: twin_fock(1),
+        lambda: twin_fock(2),
+        lambda: tmsv(1.0),
+        lambda: noon(1),
+        lambda: squeezed_product(0.5),
+        lambda: tmsv(48.0),
+        _cut_tmsv,
+    ],
+)
+@pytest.mark.parametrize("t_a", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("t_b", [0.0, 0.3, 1.0])
+def test_oracle_agrees_with_thinned_distribution(build, t_a, t_b):
+    """The adjoint-channel sums give the moments of the thinned joint
+    distribution: the same kernels, summed in another order."""
+    state = build()
+    r_abs, eff = math.sqrt(t_a), ChannelEfficiencies(1.0, math.sqrt(t_b))
+    mean, std = thinned_moments(state, r_abs, eff)
+    stats = oracle_measurement(state, r_abs, eff)
+    assert stats.mean == pytest.approx(mean, abs=1e-12)
+    assert stats.std == pytest.approx(std, abs=1e-12)
 
 
 def test_balanced_lossless_twin_fock_has_silent_output():

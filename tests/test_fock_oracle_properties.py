@@ -25,6 +25,7 @@ from plasmonq.quantum_states import (
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from test_fock_oracle import thinned_moments  # noqa: E402
 
 # Each registered family at per-mode mean N; the number-state families
 # round N up.
@@ -89,3 +90,32 @@ def test_sigma_factorises_on_random_twin_mode_states(state):
     assert stats.sigma == pytest.approx(
         (1 + stats.q_mandel) * (1 - stats.j_corr), abs=1e-10
     )
+
+
+@st.composite
+def sub_normalised_states(draw):
+    """``C = sqrt(P)`` for non-negative ``P`` on 1 to 8 photon numbers per
+    mode, with ``sum P`` anywhere in [0, 1]."""
+    size = draw(st.integers(1, 8))
+    entries = st.lists(st.floats(0.0, 1.0), min_size=size * size, max_size=size * size)
+    probs = np.reshape(draw(entries), (size, size))
+    total = float(probs.sum())
+    if total > 0.0:
+        probs *= draw(st.floats(0.0, 1.0)) / total
+    return FockCoefficients(np.sqrt(probs))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    state=sub_normalised_states(),
+    t_a=st.floats(0.0, 1.0),
+    t_b=st.floats(0.0, 1.0),
+)
+def test_oracle_matches_thinned_distribution_on_random_probabilities(state, t_a, t_b):
+    """The adjoint-channel sums and the thinned joint distribution give the
+    same difference moments, also when probability is missing."""
+    r_abs, eff = math.sqrt(t_a), ChannelEfficiencies(1.0, math.sqrt(t_b))
+    mean, std = thinned_moments(state, r_abs, eff)
+    stats = oracle_measurement(state, r_abs, eff)
+    assert stats.mean == pytest.approx(mean, abs=1e-12)
+    assert stats.std == pytest.approx(std, abs=1e-12)
