@@ -193,7 +193,7 @@ def test_oracle_agrees_with_moment_formulas(build, r2, etas):
 
 
 def _cut_tmsv():
-    """TMSV at N = 2 cut to 6 x 6, so a tenth of its mass is missing."""
+    """TMSV at N = 2 cut to 6 x 6: (2/3)^6, about 9%, of its mass is missing."""
     state = FockCoefficients(tmsv(2.0).coeffs[:6, :6])
     assert state.truncation_weight > 0.05
     return state
