@@ -9,6 +9,7 @@ are obtained by direct summation over ``|C|**2``, so phases never enter.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -89,12 +90,49 @@ class PhotonStatistics:
     j_corr: float
 
 
-def _check_truncation(weight: float, cutoff: int, tol: float, family: str):
-    if not weight < tol:
-        raise TruncationError(
-            f"{family}: truncation weight {weight:.3e} at cutoff {cutoff} "
-            f"exceeds tolerance {tol:.1e}; increase the cutoff"
-        )
+def _cutoff(family: str, weight, cutoff: int | None, tol: float, start: int, grow) -> int:
+    """A cutoff whose truncation weight ``weight(cutoff)`` is below ``tol``.
+
+    A given ``cutoff`` is only checked.  With ``cutoff=None`` this is the first
+    of ``start, grow(start), ...`` that meets ``tol``; the first candidate is
+    capped at ``_MAX_AUTO_CUTOFF``, and the search gives up at that cap.
+    """
+    if cutoff is not None:
+        if not weight(cutoff) < tol:
+            raise TruncationError(
+                f"{family}: truncation weight {weight(cutoff):.3e} at cutoff {cutoff} "
+                f"exceeds tolerance {tol:.1e}; increase the cutoff"
+            )
+        return cutoff
+    cutoff = min(start, _MAX_AUTO_CUTOFF)
+    while not weight(cutoff) < tol:
+        if cutoff >= _MAX_AUTO_CUTOFF:
+            raise TruncationError(
+                f"{family}: cannot reach tolerance {tol:.1e} below cutoff {_MAX_AUTO_CUTOFF}"
+            )
+        cutoff = grow(cutoff)
+    return cutoff
+
+
+def _product(family: str, amplitudes, cutoff: int | None, tol: float,
+             start: int) -> FockCoefficients:
+    """``s (x) s`` for two identical modes; ``cutoff=None`` doubles from ``start``."""
+    tried = {}  # cutoff -> amplitudes, so the chosen ones are not built twice
+
+    def weight(c: int) -> float:
+        tried[c] = amplitudes(c)
+        mode_mass = float(np.sum(np.abs(tried[c]) ** 2))
+        return 1.0 - mode_mass * mode_mass
+
+    s = tried[_cutoff(family, weight, cutoff, tol, start, lambda c: 2 * c)]
+    return FockCoefficients(np.outer(s, s))
+
+
+def _check_mean_photons(mean_photons: float) -> None:
+    if not math.isfinite(mean_photons):
+        raise ValueError(f"mean_photons must be finite, got {mean_photons}")
+    if mean_photons < 0.0:
+        raise ValueError("mean_photons must be non-negative")
 
 
 def coherent_product(
@@ -108,6 +146,8 @@ def coherent_product(
     below ``truncation_tol``.
     """
     alpha = complex(alpha)
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
 
     def amplitudes(c: int) -> np.ndarray:
         s = np.empty(c + 1, dtype=complex)
@@ -116,25 +156,8 @@ def coherent_product(
             s[n + 1] = s[n] * alpha / math.sqrt(n + 1)
         return s
 
-    if cutoff is None:
-        cutoff = max(8, int(abs(alpha) ** 2 + 10.0 * math.sqrt(abs(alpha) ** 2 + 1.0)))
-        while True:
-            s = amplitudes(cutoff)
-            mode_mass = float(np.sum(np.abs(s) ** 2))
-            if 1.0 - mode_mass * mode_mass < truncation_tol:
-                break
-            if cutoff >= _MAX_AUTO_CUTOFF:
-                raise TruncationError(
-                    f"coherent_product: cannot reach tolerance {truncation_tol:.1e} "
-                    f"below cutoff {_MAX_AUTO_CUTOFF}"
-                )
-            cutoff *= 2
-    else:
-        s = amplitudes(cutoff)
-        mode_mass = float(np.sum(np.abs(s) ** 2))
-        _check_truncation(1.0 - mode_mass * mode_mass, cutoff, truncation_tol,
-                          "coherent_product")
-    return FockCoefficients(np.outer(s, s))
+    start = max(8, int(abs(alpha) ** 2 + 10.0 * math.sqrt(abs(alpha) ** 2 + 1.0)))
+    return _product("coherent_product", amplitudes, cutoff, truncation_tol, start)
 
 
 def twin_fock(n_photons: int, cutoff: int | None = None) -> FockCoefficients:
@@ -161,24 +184,14 @@ def tmsv(
     Diagonal expansion ``C[n, n] = sqrt(1 - lam**2) * lam**n`` with
     ``lam = tanh(r)`` and ``sinh(r)**2 = mean_photons``.
     """
-    if mean_photons < 0.0:
-        raise ValueError("mean_photons must be non-negative")
+    _check_mean_photons(mean_photons)
     lam2 = mean_photons / (1.0 + mean_photons)  # tanh(r)^2
-    # truncation weight at cutoff c is lam2**(c+1)
-    if cutoff is None:
-        if lam2 == 0.0:
-            cutoff = 0
-        else:
-            cutoff = max(0, math.ceil(math.log(truncation_tol) / math.log(lam2)) - 1)
-            while lam2 ** (cutoff + 1) >= truncation_tol:
-                cutoff += 1
-            if cutoff > _MAX_AUTO_CUTOFF:
-                raise TruncationError(
-                    f"tmsv: tolerance {truncation_tol:.1e} needs cutoff {cutoff} "
-                    f"> {_MAX_AUTO_CUTOFF}"
-                )
-    else:
-        _check_truncation(lam2 ** (cutoff + 1), cutoff, truncation_tol, "tmsv")
+    start = 0  # lam2 of 0 or 1 has the same weight at every cutoff
+    if cutoff is None and 0.0 < lam2 < 1.0:
+        # the truncation weight at cutoff c is lam2**(c+1); solve it for tol
+        start = max(0, math.ceil(math.log(truncation_tol) / math.log(lam2)) - 1)
+    cutoff = _cutoff("tmsv", lambda c: lam2 ** (c + 1), cutoff, truncation_tol, start,
+                     lambda c: c + 1)
     lam = math.sqrt(lam2)
     c = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
     c[np.diag_indices(cutoff + 1)] = math.sqrt(1.0 - lam2) * lam ** np.arange(cutoff + 1)
@@ -203,19 +216,16 @@ def squeezed_product(
     mean_photons: float,
     cutoff: int | None = None,
     truncation_tol: float = DEFAULT_TRUNCATION_TOL,
-    squeeze_phase: float = 0.0,
 ) -> FockCoefficients:
     """Product of identical single-mode squeezed vacua, per-mode ``sinh(r)**2 = mean_photons``.
 
     Per-mode amplitudes vanish on odd numbers;
-    ``s[2k] = sqrt((2k)!)/(2**k k!) * (-e^{i phase} tanh r)**k / sqrt(cosh r)``.
+    ``s[2k] = sqrt((2k)!)/(2**k k!) * (-tanh r)**k / sqrt(cosh r)``.
     """
-    if mean_photons < 0.0:
-        raise ValueError("mean_photons must be non-negative")
+    _check_mean_photons(mean_photons)
     sinh_r = math.sqrt(mean_photons)
     cosh_r = math.sqrt(1.0 + mean_photons)
-    tanh_r = sinh_r / cosh_r
-    factor = -tanh_r * complex(math.cos(squeeze_phase), math.sin(squeeze_phase))
+    factor = -sinh_r / cosh_r  # -tanh(r)
 
     def amplitudes(c: int) -> np.ndarray:
         s = np.zeros(c + 1, dtype=complex)
@@ -227,25 +237,7 @@ def squeezed_product(
             s[2 * k] = term
         return s
 
-    if cutoff is None:
-        cutoff = 16
-        while True:
-            s = amplitudes(cutoff)
-            mode_mass = float(np.sum(np.abs(s) ** 2))
-            if 1.0 - mode_mass * mode_mass < truncation_tol:
-                break
-            if cutoff >= _MAX_AUTO_CUTOFF:
-                raise TruncationError(
-                    f"squeezed_product: cannot reach tolerance {truncation_tol:.1e} "
-                    f"below cutoff {_MAX_AUTO_CUTOFF}"
-                )
-            cutoff *= 2
-    else:
-        s = amplitudes(cutoff)
-        mode_mass = float(np.sum(np.abs(s) ** 2))
-        _check_truncation(1.0 - mode_mass * mode_mass, cutoff, truncation_tol,
-                          "squeezed_product")
-    return FockCoefficients(np.outer(s, s))
+    return _product("squeezed_product", amplitudes, cutoff, truncation_tol, 16)
 
 
 def statistics(state: FockCoefficients) -> PhotonStatistics:

@@ -269,6 +269,12 @@ def test_truncation_errors():
         coherent_product(2.0, cutoff=4)
     with pytest.raises(TruncationError):
         squeezed_product(4.0, cutoff=6)
+    # tanh(r)**2 rounds to 1, so no cutoff holds the state
+    with pytest.raises(TruncationError, match="below cutoff 4096"):
+        tmsv(1e17)
+    # the first cutoff tried is capped too: exp(-|alpha|**2/2) underflows
+    with pytest.raises(TruncationError, match="below cutoff 4096"):
+        coherent_product(1e5)
 
 
 def test_invalid_photon_numbers():
@@ -280,6 +286,13 @@ def test_invalid_photon_numbers():
         tmsv(-0.5)
     with pytest.raises(ValueError):
         squeezed_product(-1.0)
+    for value in (math.nan, math.inf):
+        for build in (tmsv, squeezed_product):
+            with pytest.raises(ValueError, match="mean_photons must be finite"):
+                build(value)
+    for alpha in (math.nan, complex(1.0, math.inf)):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            coherent_product(alpha)
 
 
 def test_over_normalized_matrix_rejected():
