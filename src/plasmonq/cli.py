@@ -120,10 +120,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
 
 
 def _read_config(path: str, common: argparse.ArgumentParser) -> dict:
-    """File values keyed by dest, each cast with its option's type.
+    """File values keyed by dest, each converted like its option's argument.
 
     A key is any common option's dest except ``config``; ``n_analyte`` may
-    be a scalar or a list.
+    be a scalar or a list.  A value other than a string is converted from its
+    JSON text, so ``"theta_steps": 3.9`` fails as ``--theta-steps 3.9`` does.
     """
     path = Path(path)
     if not path.is_file():
@@ -140,13 +141,12 @@ def _read_config(path: str, common: argparse.ArgumentParser) -> dict:
         if key not in actions:
             raise ConfigError(f"unknown config key {key!r}")
         cast = actions[key].type or str
+        items = raw if key == "n_analyte" and isinstance(raw, list) else [raw]
         try:
-            if key == "n_analyte":
-                values[key] = [cast(v) for v in (raw if isinstance(raw, list) else [raw])]
-            else:
-                values[key] = cast(raw)
+            converted = [cast(v if isinstance(v, str) else json.dumps(v)) for v in items]
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from exc
+        values[key] = converted if key == "n_analyte" else converted[0]
     return values
 
 

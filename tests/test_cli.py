@@ -316,11 +316,36 @@ def test_config_scalar_analyte_gives_one_curve(tmp_path, capsys):
 
 
 def test_config_value_of_wrong_type_is_rejected(tmp_path, capsys):
-    config = write_config(tmp_path, {"theta_steps": "many"})
-    code, out, err = run_cli(capsys, "index-sweep", "--config", config)
-    assert code == 2
-    assert out == ""
-    assert "theta_steps" in err
+    # a value is converted from its JSON text, like the flag's argument:
+    # --theta-steps 3.9 and --photons true exit 2 as well
+    for key, value in (("theta_steps", "many"), ("theta_steps", 3.9), ("photons", True)):
+        config = write_config(tmp_path, {key: value})
+        code, out, err = run_cli(capsys, "index-sweep", "--config", config)
+        assert code == 2
+        assert out == ""
+        assert key in err
+
+
+@pytest.mark.parametrize("argv,doc,message", [
+    (["--config", "absent.json"], None, "config file not found"),
+    (["--config", "run.json"], [1.39], "config file run.json must hold a JSON object"),
+    (["--config", "run.json"], {"format": "xml"}, "format must be csv or json"),
+    (["--photons", "0"], None, "photons must be positive"),
+    (["--eta", "1.5"], None, "eta must lie in [0, 1]"),
+    (["--grid-points", "2"], None, "grid_points must be at least 3"),
+    (["--fd-step", "0"], None, "fd_step must be positive"),
+    (["--dispersion", "absent.csv"], None, "dispersion table not found: absent.csv (also tried"),
+])
+def test_an_input_error_is_one_line_naming_the_setting(tmp_path, capsys, monkeypatch,
+                                                        argv, doc, message):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PLASMON_DISPERSION_DIR", str(tmp_path))
+    if doc is not None:
+        write_config(tmp_path, doc)
+    code, out, err = run_cli(capsys, *FAST_REFLECTANCE, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"plasmonq: error: {message}")
+    assert err.count("\n") == 1
 
 
 INFLECTION_AT_65_5 = ["inflection", "--theta-min", "65.5", "--theta-max", "65.5",
