@@ -50,17 +50,15 @@ class NoInteriorExtremumError(ValueError):
 def resolve_permittivity(metal, wavelength_nm: float) -> complex:
     """Turn a metal description into a complex permittivity.
 
-    Accepts a plain complex number, any object with a
+    Accepts a plain complex number or any object with a
     ``permittivity(wavelength_nm)`` method (e.g. a dispersion table or a
-    Drude-Lorentz parameter set), or a bare callable.
+    Drude-Lorentz parameter set).
     """
     if isinstance(metal, (int, float, complex)):
         return complex(metal)
     method = getattr(metal, "permittivity", None)
     if callable(method):
         return complex(method(wavelength_nm))
-    if callable(metal):
-        return complex(metal(wavelength_nm))
     raise TypeError(f"cannot interpret {type(metal).__name__} as a metal permittivity")
 
 

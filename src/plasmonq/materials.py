@@ -119,7 +119,7 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def load_dispersion(source, fmt: str = "csv", source_label: str = "") -> DispersionTable:
+def load_dispersion(source, source_label: str = "") -> DispersionTable:
     """Parse a dispersion table from a CSV byte or text stream.
 
     The expected columns are ``wavelength_nm,n,k``.  Blank lines and lines
@@ -134,8 +134,6 @@ def load_dispersion(source, fmt: str = "csv", source_label: str = "") -> Dispers
     DispersionValidationError
         On duplicate wavelengths, negative extinction or fewer than two rows.
     """
-    if fmt != "csv":
-        raise ValueError(f"unsupported dispersion format {fmt!r}")
     if hasattr(source, "read"):
         text = source.read()
     elif isinstance(source, (str, bytes)):

@@ -422,3 +422,9 @@ def test_stack_validation(kwargs):
 def test_geometry_validation(theta):
     with pytest.raises(ValueError):
         IncidenceGeometry(theta)
+
+
+@pytest.mark.parametrize("metal", [lambda wavelength_nm: complex(-20.0, 1.0), "gold"])
+def test_a_metal_needs_a_number_or_a_permittivity_method(metal):
+    with pytest.raises(TypeError, match="cannot interpret"):
+        Sensor(n_prism=PRISM, metal=metal, thickness_nm=50.0, wavelength_nm=WAVELENGTH)
