@@ -51,15 +51,11 @@ ARGVS = [
 ]
 
 
-def _name(argv: list[str]) -> str:
-    return " ".join(argv)
-
-
 def record() -> None:
     records = []
     for argv in ARGVS:
         code, out, err = run(argv)
-        records.append({"name": _name(argv), "argv": argv, "exit_code": code,
+        records.append({"name": " ".join(argv), "argv": argv, "exit_code": code,
                         "stdout": out.split("\n"), "stderr": err.split("\n")})
     CORPUS.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
     print(f"recorded {len(records)} runs, {CORPUS.stat().st_size} bytes")
