@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrology import ChannelEfficiencies, DivergenceError, MeasurementStats
-from .quantum_states import FockCoefficients, coherent_product
+from .quantum_states import FockCoefficients, _row_blocks, coherent_product
 
 __all__ = [
     "JointNumberDistribution",
@@ -74,40 +74,56 @@ def joint_distribution(state: FockCoefficients) -> JointNumberDistribution:
     return JointNumberDistribution(np.abs(state.coeffs) ** 2)
 
 
-# Columns per block when a kernel is applied in place or reduced to moments.
-# binomial_thinning then holds its input, its result and one kernel, and
-# oracle_measurement only the distribution and one kernel; at the cutoffs
-# past 1000 that bright TMSV states reach, each is ~10 MB.  It also caps the
-# columns that one product adds when a kernel is built.
+# Columns per kernel block, and the widest product of the blocked build.
+# _count_moments reduces one block at a time, so the oracle holds one block
+# of kernel columns and one block of state rows, ~0.6 MB each at the cutoffs
+# past 1000 that bright TMSV states reach.  binomial_thinning holds its
+# input, its result and one whole kernel.
 _BLOCK = 64
 
 
-def _thinning_kernel(size: int, transmittance: float) -> np.ndarray:
-    """Matrix ``L[k, n] = C(n, k) T^k (1-T)^(n-k)`` (zero above the diagonal).
+def _kernel_blocks(size: int, transmittance: float):
+    """``(start, L[:end, start:end])`` of ``L[k, n] = C(n, k) T^k (1-T)^(n-k)``.
 
-    Column ``n`` is the Binomial(n, T) distribution, so column ``n0 + j`` is
-    column ``n0`` convolved with column ``j``.  From columns 0 and 1, each
-    step fills the next ``w = min(n0, _BLOCK, size - 1 - n0)`` columns with
-    one matrix product, so the width doubles up to ``_BLOCK``.  Every entry
-    is a non-negative combination of earlier entries with weights summing
-    to 1, as in the Pascal recurrence: no binomial coefficient is formed,
-    nothing overflows at any size, and entries stay exact to rounding.
+    Column ``n`` is Binomial(n, T), zero below row ``n``, so column ``n0 + j``
+    is column ``n0`` convolved with column ``j``.  The ``(_BLOCK + 1)^2``
+    corner is filled from columns 0 and 1 by products of widths 1, 2, 4, ...;
+    each later block is one product of the corner with the column before it.
+    Every entry is a non-negative combination of earlier entries with weights
+    summing to 1, as in the Pascal recurrence: nothing overflows at any size,
+    and entries stay exact to rounding.
     """
-    kernel = np.zeros((size, size))
-    kernel[0, 0] = 1.0
+    first = min(size, _BLOCK + 1)
+    corner = np.zeros((first, first))
+    corner[0, 0] = 1.0
     if size > 1:
-        kernel[:2, 1] = (1.0 - transmittance, transmittance)
-    # shifted[k, i] = kernel[k - i, n0], gathered from a zero-padded column
+        corner[:2, 1] = (1.0 - transmittance, transmittance)
+    # shifted[k, i] = column n0 at row k - i, gathered from a zero-padded copy
     shift = _BLOCK + np.arange(size)[:, np.newaxis] - np.arange(_BLOCK + 1)
     padded = np.zeros(_BLOCK + size)
+
+    def after(column: np.ndarray, n0: int, w: int) -> np.ndarray:  # columns n0+1..n0+w
+        padded[_BLOCK:_BLOCK + n0 + 1] = column[:n0 + 1]
+        return padded[shift[:n0 + w + 1, :w + 1]] @ corner[:w + 1, 1:w + 1]
+
     n0 = 1
-    while n0 < size - 1:
-        w = min(n0, _BLOCK, size - 1 - n0)
-        rows = n0 + w + 1  # every column filled here is zero below row n0 + w
-        padded[_BLOCK:_BLOCK + n0 + 1] = kernel[:n0 + 1, n0]
-        shifted = padded[shift[:rows, :w + 1]]
-        kernel[:rows, n0 + 1:n0 + w + 1] = shifted @ kernel[:w + 1, 1:w + 1]
+    while n0 < first - 1:
+        w = min(n0, first - 1 - n0)
+        corner[:n0 + w + 1, n0 + 1:n0 + w + 1] = after(corner[:, n0], n0, w)
         n0 += w
+    yield 0, corner
+    block = corner
+    while n0 < size - 1:
+        block = after(block[:, -1], n0, min(_BLOCK, size - 1 - n0))
+        yield n0 + 1, block
+        n0 += block.shape[1]
+
+
+def _thinning_kernel(size: int, transmittance: float) -> np.ndarray:
+    """The whole kernel ``L[k, n]`` (zero above the diagonal), block by block."""
+    kernel = np.zeros((size, size))
+    for start, block in _kernel_blocks(size, transmittance):
+        kernel[:block.shape[0], start:start + block.shape[1]] = block
     return kernel
 
 
@@ -138,20 +154,20 @@ def _count_moments(size: int, transmittance: float) -> tuple[np.ndarray, np.ndar
     """Mean and variance of the detected count, one entry per input count.
 
     Entry ``n`` sums column ``n`` of the explicit kernel directly: the mean
-    ``sum_k k L[k, n]`` and the centred ``sum_k (k - mean[n])^2 L[k, n]``.
-    A lossless mode needs no kernel; it keeps every count exactly.
+    ``sum_k k L[k, n]`` and the centred ``sum_k (k - mean[n])^2 L[k, n]``,
+    each block of columns as it is built.  A lossless mode needs no kernel;
+    it keeps every count exactly.
     """
     counts = np.arange(size, dtype=float)
     if transmittance == 1.0:
         return counts, np.zeros(size)
-    kernel = _thinning_kernel(size, transmittance)
-    mean = counts @ kernel
-    var = np.empty(size)
-    for start in range(0, size, _BLOCK):
-        end = min(start + _BLOCK, size)  # column n is zero below row n
+    mean, var = np.empty(size), np.empty(size)
+    for start, block in _kernel_blocks(size, transmittance):
+        end = block.shape[0]  # column n is zero below row n
+        mean[start:end] = counts[:end] @ block
         spread = counts[:end, np.newaxis] - mean[start:end]  # k - mean[n] at (k, n)
         spread *= spread
-        spread *= kernel[:end, start:end]
+        spread *= block
         var[start:end] = spread.sum(axis=0)
     return mean, var
 
@@ -165,24 +181,30 @@ def oracle_measurement(
     ``sum_m p_b[m] mean_b[m] - sum_n p_a[n] mean_a[n]`` over the marginals,
     and the variance is the expected conditional variance plus the spread
     of the conditional means.  No size^3 product is run and no thinned
-    distribution is formed; one kernel is held at a time.
+    distribution is formed; ``|C|^2`` is read a block of rows at a time,
+    once for the marginals and once for the spread.
     """
     if not 0.0 <= r_abs <= 1.0:
         raise ValueError(f"r_abs must lie in [0, 1], got {r_abs}")
-    probs = joint_distribution(state).probs
-    size = probs.shape[0]
+    size = state.cutoff + 1
     mean_a, var_a = _count_moments(size, r_abs**2 * eff.eta_a**2)
     mean_b, var_b = _count_moments(size, eff.eta_b**2)
-    p_a, p_b = probs.sum(axis=1), probs.sum(axis=0)
+    p_a, p_b = np.empty(size), np.zeros(size)
+    for rows, probs in _row_blocks(state.coeffs):
+        p_a[rows] = probs.sum(axis=1)
+        p_b += probs.sum(axis=0)
     mean = float(p_b @ mean_b - p_a @ mean_a)
     # Law of total variance over the input counts (n, m).  The last term
     # keeps ``E[(l - k)^2] - mean^2`` when the probabilities sum below 1.
-    spread = (mean_b - mean)[np.newaxis, :] - mean_a[:, np.newaxis]
-    spread *= spread
-    spread *= probs
+    spread_sum = 0.0
+    for rows, probs in _row_blocks(state.coeffs):
+        spread = (mean_b - mean)[np.newaxis, :] - mean_a[rows, np.newaxis]
+        spread *= spread
+        spread *= probs
+        spread_sum += float(spread.sum())
     variance = (
-        float(p_a @ var_a + p_b @ var_b + spread.sum())
-        + mean * mean * (1.0 - float(probs.sum()))
+        float(p_a @ var_a + p_b @ var_b + spread_sum)
+        + mean * mean * (1.0 - float(p_a.sum()))
     )
     return MeasurementStats(mean=mean, std=math.sqrt(max(0.0, variance)))
 

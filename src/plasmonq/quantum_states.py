@@ -36,6 +36,7 @@ __all__ = [
 DEFAULT_TRUNCATION_TOL = 1e-10
 
 _MAX_AUTO_CUTOFF = 4096
+_ROW_BLOCK = 64  # rows of |C|**2 formed at a time by statistics() and the Fock oracle
 
 
 class TruncationError(ValueError):
@@ -55,16 +56,18 @@ class FockCoefficients:
     """Immutable two-mode Fock expansion on ``n, m in 0..cutoff``.
 
     ``sum |C|**2`` may fall short of 1 for truncated continuous-spectrum
-    states; the deficit is exposed as :attr:`truncation_weight`.
+    states; the deficit is exposed as :attr:`truncation_weight`.  A caller's
+    array is copied, never frozen or aliased; the constructors here adopt
+    their fresh arrays uncopied.
     """
 
     coeffs: np.ndarray
 
-    def __post_init__(self):
-        arr = np.array(self.coeffs, dtype=complex, copy=True)
+    def __post_init__(self, copy: bool = True):
+        arr = np.array(self.coeffs, dtype=complex, copy=copy)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValueError(f"coefficient matrix must be square, got shape {arr.shape}")
-        total = float(np.sum(np.abs(arr) ** 2))
+        total = float(np.vdot(arr, arr).real)
         if total > 1.0 + 1e-9:
             raise ValueError(f"coefficients are over-normalised: sum |C|^2 = {total}")
         arr.setflags(write=False)
@@ -76,7 +79,15 @@ class FockCoefficients:
 
     @property
     def truncation_weight(self) -> float:
-        return max(0.0, 1.0 - float(np.sum(np.abs(self.coeffs) ** 2)))
+        return max(0.0, 1.0 - float(np.vdot(self.coeffs, self.coeffs).real))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> FockCoefficients:
+        """Wrap ``arr``, a fresh complex array nothing else refers to, uncopied."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "coeffs", arr)
+        state.__post_init__(copy=False)
+        return state
 
 
 @dataclass(frozen=True)
@@ -124,8 +135,14 @@ def _product(family: str, amplitudes, cutoff: int | None, tol: float,
         mode_mass = float(np.sum(np.abs(tried[c]) ** 2))
         return 1.0 - mode_mass * mode_mass
 
+    _check_tolerance(tol)
     s = tried[_cutoff(family, weight, cutoff, tol, start, lambda c: 2 * c)]
-    return FockCoefficients(np.outer(s, s))
+    return FockCoefficients._adopt(np.outer(s, s))
+
+
+def _check_tolerance(tol: float) -> None:
+    if not 0.0 < tol < 1.0:  # NaN fails too
+        raise ValueError(f"truncation_tol must lie strictly between 0 and 1, got {tol}")
 
 
 def _check_mean_photons(mean_photons: float) -> None:
@@ -171,7 +188,7 @@ def twin_fock(n_photons: int, cutoff: int | None = None) -> FockCoefficients:
         raise CapacityError(f"cutoff {cutoff} cannot hold |{n_photons},{n_photons}>")
     c = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
     c[n_photons, n_photons] = 1.0
-    return FockCoefficients(c)
+    return FockCoefficients._adopt(c)
 
 
 def tmsv(
@@ -185,6 +202,7 @@ def tmsv(
     ``lam = tanh(r)`` and ``sinh(r)**2 = mean_photons``.
     """
     _check_mean_photons(mean_photons)
+    _check_tolerance(truncation_tol)
     lam2 = mean_photons / (1.0 + mean_photons)  # tanh(r)^2
     start = 0  # lam2 of 0 or 1 has the same weight at every cutoff
     if cutoff is None and 0.0 < lam2 < 1.0:
@@ -195,7 +213,7 @@ def tmsv(
     lam = math.sqrt(lam2)
     c = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
     c[np.diag_indices(cutoff + 1)] = math.sqrt(1.0 - lam2) * lam ** np.arange(cutoff + 1)
-    return FockCoefficients(c)
+    return FockCoefficients._adopt(c)
 
 
 def noon(n_photons: int, cutoff: int | None = None) -> FockCoefficients:
@@ -209,7 +227,7 @@ def noon(n_photons: int, cutoff: int | None = None) -> FockCoefficients:
         raise CapacityError(f"cutoff {cutoff} cannot hold |{2 * n_photons},0>")
     c = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
     c[2 * n_photons, 0] = c[0, 2 * n_photons] = 1.0 / math.sqrt(2.0)
-    return FockCoefficients(c)
+    return FockCoefficients._adopt(c)
 
 
 def squeezed_product(
@@ -240,17 +258,27 @@ def squeezed_product(
     return _product("squeezed_product", amplitudes, cutoff, truncation_tol, 16)
 
 
+def _row_blocks(coeffs: np.ndarray):
+    """``(rows, |coeffs[rows]|**2)`` for blocks of ``_ROW_BLOCK`` rows, top down."""
+    for start in range(0, coeffs.shape[0], _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        yield rows, np.abs(coeffs[rows]) ** 2
+
+
 def statistics(state: FockCoefficients) -> PhotonStatistics:
     """Mandel Q (mode a), difference-noise sigma and mode correlation J.
 
-    All moments are raw sums over ``|C|**2``; for well-truncated states the
-    missing tail mass is below the constructor tolerance.  When a mode has
-    zero number variance, J is reported as its limiting value 1.
+    All moments are raw sums over ``|C|**2``, taken a block of rows at a
+    time; for well-truncated states the missing tail mass is below the
+    constructor tolerance.  When a mode has zero number variance, J is
+    reported as its limiting value 1.
     """
-    p = np.abs(state.coeffs) ** 2
-    idx = np.arange(p.shape[0], dtype=float)
-    pa = p.sum(axis=1)
-    pb = p.sum(axis=0)
+    idx = np.arange(state.cutoff + 1, dtype=float)
+    pa, pb, cov = np.empty_like(idx), np.zeros_like(idx), 0.0
+    for rows, p in _row_blocks(state.coeffs):
+        pa[rows] = p.sum(axis=1)
+        pb += p.sum(axis=0)
+        cov += float(idx[rows] @ p @ idx)  # sum n m |C|^2 so far
     mean_a = float(idx @ pa)
     mean_b = float(idx @ pb)
     if mean_a <= 0.0 or mean_b <= 0.0:
@@ -259,7 +287,7 @@ def statistics(state: FockCoefficients) -> PhotonStatistics:
         )
     var_a = max(0.0, float(idx * idx @ pa) - mean_a * mean_a)
     var_b = max(0.0, float(idx * idx @ pb) - mean_b * mean_b)
-    cov = float(idx @ p @ idx) - mean_a * mean_b
+    cov -= mean_a * mean_b
     q_mandel = var_a / mean_a - 1.0
     sigma = max(0.0, (var_a + var_b - 2.0 * cov) / (mean_a + mean_b))
     if var_a == 0.0 or var_b == 0.0:
@@ -317,4 +345,4 @@ def load_coefficients(src) -> FockCoefficients:
     c = np.zeros((size, size), dtype=complex)
     for n, m, re, im in rows:
         c[n, m] = complex(re, im)
-    return FockCoefficients(c)
+    return FockCoefficients._adopt(c)

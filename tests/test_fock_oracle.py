@@ -1,11 +1,15 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from plasmonq.fock_oracle import (
+    _BLOCK,
     JointNumberDistribution,
+    _count_moments,
+    _kernel_blocks,
     _thinning_kernel,
     binomial_thinning,
     joint_distribution,
@@ -150,6 +154,87 @@ def test_thinning_kernel_exact_at_overflow_size(t):
         big = exact > 1e-300
         rel = np.abs(column[:n + 1][big] - exact[big]) / exact[big]
         assert np.max(rel) <= 1e-12
+
+
+def _whole_kernel(size, t):
+    """Reference: the kernel built as one size x size matrix, filling the
+    next ``w = min(n0, _BLOCK, size - 1 - n0)`` columns per product."""
+    kernel = np.zeros((size, size))
+    kernel[0, 0] = 1.0
+    if size > 1:
+        kernel[:2, 1] = (1.0 - t, t)
+    shift = _BLOCK + np.arange(size)[:, np.newaxis] - np.arange(_BLOCK + 1)
+    padded = np.zeros(_BLOCK + size)
+    n0 = 1
+    while n0 < size - 1:
+        w = min(n0, _BLOCK, size - 1 - n0)
+        rows = n0 + w + 1
+        padded[_BLOCK:_BLOCK + n0 + 1] = kernel[:n0 + 1, n0]
+        kernel[:rows, n0 + 1:n0 + w + 1] = padded[shift[:rows, :w + 1]] @ kernel[:w + 1, 1:w + 1]
+        n0 += w
+    return kernel
+
+
+BLOCK_EDGE_SIZES = (1, 2, 3, 64, 65, 66, 129, 130, 200)
+
+
+@pytest.mark.parametrize("size", BLOCK_EDGE_SIZES)
+def test_kernel_blocks_concatenate_to_the_whole_kernel_bit_for_bit(size):
+    for t in (0.0, 0.05, 0.37, 0.9, 1.0):
+        reference = _whole_kernel(size, t)
+        end = 0
+        for start, block in _kernel_blocks(size, t):
+            assert start == end  # the blocks tile the columns left to right
+            end = start + block.shape[1]
+            assert block.shape[0] == end  # the block is L[:end, start:end]
+            assert np.array_equal(block, reference[:end, start:end])
+            assert not np.any(reference[end:, start:end])
+        assert end == size
+        assert np.array_equal(_thinning_kernel(size, t), reference)
+
+
+@pytest.mark.parametrize("size", BLOCK_EDGE_SIZES)
+def test_count_moments_match_a_whole_kernel_reduction(size):
+    counts = np.arange(size, dtype=float)
+    for t in (0.0, 0.05, 0.37, 0.9):
+        kernel = _whole_kernel(size, t)
+        mean_ref = counts @ kernel
+        var_ref = ((counts[:, np.newaxis] - mean_ref) ** 2 * kernel).sum(axis=0)
+        mean, var = _count_moments(size, t)
+        assert np.max(np.abs(mean - mean_ref) / np.maximum(mean_ref, 1.0)) <= 1e-15
+        assert np.max(np.abs(var - var_ref) / np.maximum(var_ref, 1.0)) <= 1e-15
+    mean, var = _count_moments(size, 1.0)
+    assert np.array_equal(mean, counts) and not np.any(var)
+
+
+def test_state_layer_and_oracle_hold_little_beyond_the_state():
+    """At TMSV N = 48 (size 1117, 20 MB of coefficients): building holds
+    about the state itself, and statistics() and the oracle stream blocks."""
+    eff = ChannelEfficiencies(0.8, 0.9)
+    oracle_measurement(tmsv(1.0), 0.5, eff)  # warm up lazy numpy set-up
+    statistics(tmsv(1.0))
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        state = tmsv(48.0)
+        held = state.coeffs.nbytes
+        build_peak = tracemalloc.get_traced_memory()[1] - before
+        peaks = []
+        for run in (lambda: statistics(state), lambda: oracle_measurement(state, 0.5, eff)):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert state.cutoff + 1 == 1117
+    assert build_peak < 1.5 * held
+    assert peaks[0] < 0.25 * held, "statistics()"
+    assert peaks[1] < 0.25 * held, "oracle_measurement"
 
 
 def test_single_photon_thinning_by_hand():

@@ -295,6 +295,23 @@ def test_invalid_photon_numbers():
             coherent_product(alpha)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, 1.0, 2.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda tol: tmsv(1.0, truncation_tol=tol),
+        lambda tol: tmsv(1.0, cutoff=40, truncation_tol=tol),
+        # |alpha|**2 = 1e10: a tolerance above 1 would pass a 4097 x 4097 array of zeros
+        lambda tol: coherent_product(1e5, truncation_tol=tol),
+        lambda tol: coherent_product(1.0, cutoff=20, truncation_tol=tol),
+        lambda tol: squeezed_product(1.0, truncation_tol=tol),
+    ],
+)
+def test_truncation_tol_outside_the_open_unit_interval_rejected(build, tol):
+    with pytest.raises(ValueError, match="truncation_tol"):
+        build(tol)
+
+
 def test_over_normalized_matrix_rejected():
     with pytest.raises(ValueError):
         FockCoefficients(np.eye(3, dtype=complex))
@@ -309,6 +326,37 @@ def test_coefficients_are_read_only():
     state = twin_fock(1)
     with pytest.raises(ValueError):
         state.coeffs[0, 0] = 1.0
+
+
+def test_caller_array_is_copied_not_frozen():
+    coeffs = np.zeros((2, 2), dtype=complex)
+    coeffs[1, 1] = 1.0
+    state = FockCoefficients(coeffs)
+    assert coeffs.flags.writeable
+    assert not np.shares_memory(state.coeffs, coeffs)
+    coeffs[1, 1] = 0.5
+    assert state.coeffs[1, 1] == 1.0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: coherent_product(1.0),
+        lambda: twin_fock(2),
+        lambda: tmsv(2.0),
+        lambda: noon(1),
+        lambda: squeezed_product(0.5),
+        lambda: FockCoefficients(np.eye(2)[:1, :1]),
+    ],
+)
+def test_every_constructor_returns_read_only_coefficients(build):
+    assert not build().coeffs.flags.writeable
+
+
+def test_loaded_coefficients_are_read_only(tmp_path):
+    path = tmp_path / "state.csv"
+    save_coefficients(noon(1), path)
+    assert not load_coefficients(path).coeffs.flags.writeable
 
 
 # ---------------------------------------------------------------- persistence
