@@ -197,6 +197,37 @@ def _rsp(eps1, eps2, eps3, thickness_nm, k0, k_x):
     return (ph * r23 + r12) / den
 
 
+def _tir_reflectance(sensor: Sensor, theta_deg: float, n_analyte):
+    """Reflectance ``|r_sp|**2`` at one angle over an array of analyte
+    indices, in real arithmetic; every index must lie under total internal
+    reflection, ``n_analyte < n_prism sin(theta)``.
+
+    There ``k3z = i kappa`` with ``kappa = sqrt(k_x**2 - n**2 k0**2)``, so with
+    ``beta = kappa / n**2`` the Airy form is ``(P + i beta Q) / (S + i beta T)``:
+    ``a2 = k2z / eps2``, ``P = a2 (ph + r12)``, ``Q = r12 - ph``,
+    ``S = a2 (1 + ph r12)`` and ``T = 1 - ph r12`` depend on the angle only.
+    Each squared modulus is a real quadratic in ``beta``, summed here as
+    ``Re**2 + Im**2`` so that nothing cancels near the dip.
+    """
+    k0 = 2.0 * math.pi / sensor.wavelength_nm
+    kk = k0 * k0
+    kx2 = (k0 * sensor.n_prism * math.sin(math.radians(theta_deg))) ** 2
+    eps1, eps2 = sensor.eps_prism, sensor.metal_permittivity
+    k1z = k0 * sensor.n_prism * math.cos(math.radians(theta_deg))  # a lossless prism
+    k2z = cmath.sqrt(eps2 * kk - kx2)  # either branch: r_sp is even in the film's k2z
+    r12 = complex(interface_reflection(eps1, eps2, k1z, k2z, pair="1|2"))
+    ph = cmath.exp(2j * k2z * sensor.thickness_nm)
+    a2 = k2z / eps2
+    p, q = a2 * (ph + r12), r12 - ph
+    s, t = a2 * (1.0 + ph * r12), 1.0 - ph * r12
+    n2 = np.square(n_analyte)
+    beta = np.sqrt(kx2 - n2 * kk) / n2
+    den = (s.real - beta * t.imag) ** 2 + (s.imag + beta * t.real) ** 2
+    if np.count_nonzero(den == 0):
+        raise FresnelSingularityError("vanishing composite denominator for stack 1|2|3")
+    return ((p.real - beta * q.imag) ** 2 + (p.imag + beta * q.real) ** 2) / den
+
+
 def reflection(sensor: Sensor, theta_deg, n_analyte):
     """Complex TM reflection coefficient ``r_sp`` of ``sensor`` at incidence
     angle ``theta_deg`` over an analyte of index ``n_analyte``.
@@ -363,6 +394,8 @@ def inflection_index(
     the total-internal-reflection regime ``n < n_prism sin(theta)`` where
     the attenuated-total-reflection scheme is defined.  Raises
     :class:`NoInteriorExtremumError` if the steepest point is not interior.
+    The grid scan uses a real closed form of the reflectance under total
+    internal reflection; the golden-section refinement uses the kernel.
 
     With ``h = 1e-6`` the finite-difference objective is flat to rounding
     over ~1e-7 around its maximum: ``n_inf`` is meaningful to ~1e-7, not ``tol``.
@@ -376,17 +409,27 @@ def inflection_index(
 def _steepest_flank(stack: Sensor, thetas, n_range: tuple[float, float],
                     tol: float, h: float, grid_points: int) -> list:
     """:func:`inflection_index` at each angle of ``thetas``: its ``n_inf``, or
-    the :class:`NoInteriorExtremumError` raised there.  Each angle is scanned
-    with its own kernel call; the golden sections run in lockstep.
+    the :class:`NoInteriorExtremumError` raised there.  Each angle's grid is
+    scanned in real arithmetic by :func:`_tir_reflectance` (by the kernel if
+    ``h`` could carry ``n + h`` out of total internal reflection); the golden
+    sections that refine the brackets run in lockstep on :func:`sensitivity`,
+    i.e. on the kernel, so the scan only picks each bracket.
     """
     lo, hi = n_range
     if not (h < lo < hi < stack.n_prism - h):
         raise ValueError(f"n_range {n_range} must be ordered inside (h, n_prism - h)")
     if grid_points < 3:
         raise ValueError("grid_points must be at least 3")
+
+    def flank(theta, n):  # -|dR/dn| by sensitivity()'s central difference, at one angle
+        if h > _TIR_MARGIN / 2:  # n + h may then cross into the propagating regime
+            return -abs(sensitivity(stack, IncidenceGeometry(theta), n, h))
+        refl = _tir_reflectance(stack, theta, np.stack([n + h, n - h]))
+        return -abs((refl[0] - refl[1]) / (2.0 * h))
+
     found = []  # per angle: its bracket, then its n_inf, or why it is skipped
     for theta in thetas:
-        geom = IncidenceGeometry(theta)
+        IncidenceGeometry(theta)  # checks the angle
         n_critical = stack.n_prism * math.sin(math.radians(theta))
         top = min(hi, n_critical - _TIR_MARGIN)
         try:
@@ -395,8 +438,8 @@ def _steepest_flank(stack: Sensor, thetas, n_range: tuple[float, float],
                     f"no total-internal-reflection window above n={lo} at "
                     f"theta={theta} deg (crossover at {n_critical:.6f})"
                 )
-            found.append(_grid_bracket(lambda n: -abs(sensitivity(stack, geom, n, h)),
-                                       lo, top, grid_points, "steepest flank at n"))
+            found.append(_grid_bracket(lambda n: flank(theta, n), lo, top, grid_points,
+                                       "steepest flank at n"))
         except NoInteriorExtremumError as exc:
             found.append(exc)
     rows = [i for i, item in enumerate(found) if isinstance(item, tuple)]

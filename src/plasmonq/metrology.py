@@ -16,6 +16,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .fresnel import (IncidenceGeometry, NoInteriorExtremumError, Sensor, _steepest_flank,
                       reflection)
 from .quantum_states import PhotonStatistics
@@ -134,16 +136,31 @@ def ratio(r_abs: float, eta: float, q_mandel: float, sigma: float) -> float:
     for balanced detection ``eta_a = eta_b = eta``; R > 1 means the probe
     beats the coherent state.  R is independent of the brightness N.
     """
+    r2, den = _ratio_terms(r_abs, eta, q_mandel, sigma)
+    if den <= 0.0:
+        raise _ratio_domain_error(den, r_abs, eta)
+    return math.sqrt((1.0 + r2) / den)
+
+
+def _ratio_terms(r_abs, eta: float, q_mandel: float, sigma: float):
+    """``|r|^2`` and the denominator of :func:`ratio`; ``r_abs`` may be an array.
+
+    Squares are products, not ``** 2``: Python's float power can round a
+    square differently from numpy's array square, and a float and an array
+    must give the same bits.
+    """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    r2 = r_abs**2
+    r2 = r_abs * r_abs
     e2 = eta * eta
-    den = (1.0 - r2) ** 2 * e2 * q_mandel + 2.0 * r2 * e2 * sigma + 1.0 + r2 * (1.0 - 2.0 * e2)
-    if den <= 0.0:
-        raise MetrologyDomainError(
-            f"enhancement denominator {den} is not positive at |r|={r_abs}, eta={eta}"
-        )
-    return math.sqrt((1.0 + r2) / den)
+    loss = 1.0 - r2
+    return r2, loss * loss * e2 * q_mandel + 2.0 * r2 * e2 * sigma + 1.0 + r2 * (1.0 - 2.0 * e2)
+
+
+def _ratio_domain_error(den: float, r_abs: float, eta: float) -> MetrologyDomainError:
+    return MetrologyDomainError(
+        f"enhancement denominator {den} is not positive at |r|={r_abs}, eta={eta}"
+    )
 
 
 def ratio_twin_fock(r_abs: float) -> float:
@@ -259,15 +276,14 @@ def sweep_ratio(
     """
     grid = [float(n) for n in n_grid]
     r_abs = abs(reflection(stack, geom.theta_deg, grid))
-    out: list[tuple[float, float]] = []
-    for n, r in zip(grid, r_abs.tolist()):
-        try:
-            value = ratio(r, eta, state_stats.q_mandel, state_stats.sigma)
-        except (MetrologyDomainError, DivergenceError) as exc:
-            warnings.warn(f"n_analyte={n}: {exc}", stacklevel=2)
-            value = math.nan
-        out.append((n, value))
-    return out
+    r2, den = _ratio_terms(r_abs, eta, state_stats.q_mandel, state_stats.sigma)
+    bad = den <= 0.0
+    values = np.sqrt((1.0 + r2) / np.where(bad, 1.0, den))
+    values[bad] = math.nan
+    for i in np.flatnonzero(bad).tolist():
+        exc = _ratio_domain_error(den[i].item(), r_abs[i].item(), eta)
+        warnings.warn(f"n_analyte={grid[i]}: {exc}", stacklevel=2)
+    return list(zip(grid, values.tolist()))
 
 
 def sweep_precision_vs_angle(

@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "DEFAULT_TRUNCATION_TOL",
     "TruncationError",
+    "AmplitudeUnderflowError",
     "CapacityError",
     "UndefinedStatisticsError",
     "FockCoefficients",
@@ -41,6 +42,10 @@ _ROW_BLOCK = 64  # rows of |C|**2 formed at a time by statistics() and the Fock 
 
 class TruncationError(ValueError):
     """Cutoff too small for the requested truncation tolerance."""
+
+
+class AmplitudeUnderflowError(TruncationError):
+    """Every amplitude underflows to zero, so no cutoff can hold the state."""
 
 
 class CapacityError(ValueError):
@@ -160,15 +165,23 @@ def coherent_product(
     """Product of identical coherent states, ``C[n, m] ~ alpha**(n+m)/sqrt(n! m!)``.
 
     With ``cutoff=None`` the cutoff grows until the truncation weight drops
-    below ``truncation_tol``.
+    below ``truncation_tol``.  Past ``|alpha|**2`` of about 1490 the vacuum
+    amplitude ``exp(-|alpha|**2/2)`` underflows to 0, and so would every
+    other; that raises :class:`AmplitudeUnderflowError`.
     """
     alpha = complex(alpha)
     if not cmath.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
+    vacuum = math.exp(-0.5 * abs(alpha) ** 2)
 
     def amplitudes(c: int) -> np.ndarray:
+        if vacuum == 0.0:
+            raise AmplitudeUnderflowError(
+                f"coherent_product: the vacuum amplitude exp(-|alpha|^2/2) underflows to 0 "
+                f"at |alpha|^2 = {abs(alpha) ** 2:.6g}"
+            )
         s = np.empty(c + 1, dtype=complex)
-        s[0] = math.exp(-0.5 * abs(alpha) ** 2)
+        s[0] = vacuum
         for n in range(c):
             s[n + 1] = s[n] * alpha / math.sqrt(n + 1)
         return s

@@ -12,9 +12,12 @@ from plasmonq.fresnel import (
     NoInteriorExtremumError,
     ReflectionResult,
     Sensor,
+    _TIR_MARGIN,
     _golden_minimize,
+    _grid_bracket,
     _rsp,
     _steepest_flank,
+    _tir_reflectance,
     inflection_index,
     interface_reflection,
     reflection,
@@ -25,7 +28,7 @@ from plasmonq.fresnel import (
     transfer_matrix_reflection,
     wavevector_z,
 )
-from plasmonq.materials import gold_dispersion
+from plasmonq.materials import GOLD_DRUDE_LORENTZ, gold_dispersion
 
 WAVELENGTH = 810.0
 PRISM = 1.5107
@@ -361,6 +364,75 @@ def test_lockstep_flank_search_matches_the_one_angle_search():
                 assert got == want
                 outcomes.add("interior")
     assert outcomes == {"interior", "boundary", "no TIR window"}
+
+
+def _kernel_flank_search(stack, thetas, n_range, tol, h, grid_points):
+    """The steep-flank search with every grid point scanned through
+    :func:`sensitivity`, i.e. the complex kernel: the reference that the
+    real closed-form scan must reproduce exactly."""
+    lo, hi = n_range
+    found = []
+    for theta in thetas:
+        geom = IncidenceGeometry(theta)
+        n_critical = stack.n_prism * math.sin(math.radians(theta))
+        top = min(hi, n_critical - _TIR_MARGIN)
+        if top <= lo:
+            found.append(NoInteriorExtremumError(
+                f"no total-internal-reflection window above n={lo} at "
+                f"theta={theta} deg (crossover at {n_critical:.6f})"))
+            continue
+        try:
+            found.append(_grid_bracket(lambda n: -abs(sensitivity(stack, geom, n, h)),
+                                       lo, top, grid_points, "steepest flank at n"))
+        except NoInteriorExtremumError as exc:
+            found.append(exc)
+    rows = [i for i, item in enumerate(found) if isinstance(item, tuple)]
+    geom = IncidenceGeometry([thetas[i] for i in rows])
+    a, b = np.reshape([found[i] for i in rows], (-1, 2)).T
+    n_inf = _golden_minimize(lambda n: -abs(sensitivity(stack, geom, n, h)), a, b, tol)
+    for i, n in zip(rows, n_inf.tolist()):
+        found[i] = n
+    return found
+
+
+def test_closed_form_scan_matches_the_kernel_scan():
+    """Seeded sensors over both gold sources, angle grids from below the
+    critical angle to grazing, narrow and wide index ranges, coarse and fine
+    grids, and a step ``h`` past half the TIR margin (scanned by the kernel):
+    every ``n_inf`` is equal and every skip has the same message."""
+    rng = np.random.default_rng(2024)
+    outcomes = set()
+    for case in range(12):
+        n_prism = float(rng.uniform(1.45, 1.8))
+        sensor = Sensor(n_prism, gold_dispersion() if case % 2 else GOLD_DRUDE_LORENTZ,
+                        float(rng.uniform(35.0, 65.0)), float(rng.uniform(600.0, 1000.0)))
+        lo = float(rng.uniform(1.0, 1.34))
+        hi = min(lo + float(rng.choice([0.01, 0.05, 0.2])), n_prism - 0.01)
+        thetas = np.linspace(rng.uniform(35.0, 60.0), rng.uniform(75.0, 89.0), 15).tolist()
+        h = 2e-3 if case == 8 else 1e-6
+        grid_points = 201 if case % 3 == 0 else 2001
+        args = (sensor, thetas, (lo, hi), 1e-9, h, grid_points)
+        got, want = _steepest_flank(*args), _kernel_flank_search(*args)
+        assert len(got) == len(want) == len(thetas)
+        for theta, g, w in zip(thetas, got, want):
+            assert type(g) is type(w), (case, theta, g, w)
+            if isinstance(w, NoInteriorExtremumError):
+                assert str(g) == str(w)
+                outcomes.add("no TIR window" if "total-internal" in str(w) else "boundary")
+            else:
+                assert g == w, (case, theta)
+                outcomes.add("interior")
+    assert outcomes == {"interior", "boundary", "no TIR window"}
+
+
+@pytest.mark.parametrize("metal", [-11.7 + 1.2j, -11.7 - 1.2j, 2.25 - 0.1j])
+def test_tir_closed_form_takes_the_kernels_branch_for_any_film(metal):
+    # a film with gain (Im eps < 0) puts the principal root k2z on the growing
+    # branch, which the kernel flips; r_sp is even in k2z, so both agree
+    sensor = Sensor(PRISM, metal, 50.0, WAVELENGTH)
+    n = np.linspace(1.30, PRISM * math.sin(math.radians(73.0)) - _TIR_MARGIN, 101)
+    np.testing.assert_allclose(_tir_reflectance(sensor, 73.0, n),
+                               abs(reflection(sensor, 73.0, n)) ** 2, rtol=0, atol=1e-12)
 
 
 def test_inflection_index_matches_frozen_value():

@@ -1,11 +1,14 @@
-"""Property tests of the broadcasting Airy kernel on random passive stacks."""
+"""Property tests of the broadcasting Airy kernel on random passive stacks,
+and of the real closed form that the steep-flank scan uses in its place."""
 
 import math
 
 import numpy as np
 import pytest
 
-from plasmonq.fresnel import _rsp, transfer_matrix_reflection
+from plasmonq.fresnel import (_TIR_MARGIN, Sensor, _rsp, _tir_reflectance, reflection,
+                              transfer_matrix_reflection)
+from plasmonq.materials import GOLD_DRUDE_LORENTZ, gold_dispersion
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -50,3 +53,26 @@ def test_airy_kernel_matches_transfer_matrix_on_random_passive_stacks(
     ])
     assert np.max(np.abs(direct - layered)) <= 1e-10
     assert np.max(np.abs(direct) ** 2) <= 1.0 + PASSIVITY_ULP_ALLOWANCE
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    tabulated=st.booleans(),
+    n_prism=st.floats(1.45, 1.8),
+    thickness_nm=st.floats(1.0, 80.0),
+    wavelength_nm=st.floats(600.0, 1000.0),
+    theta_deg=st.floats(45.0, 89.5),
+)
+def test_tir_closed_form_matches_the_kernel_reflectance(
+    tabulated, n_prism, thickness_nm, wavelength_nm, theta_deg
+):
+    """Under total internal reflection the real closed form is the kernel's
+    ``|r_sp|**2`` to rounding, over the whole index range up to the margin
+    the flank scan keeps below the crossover."""
+    metal = gold_dispersion() if tabulated else GOLD_DRUDE_LORENTZ
+    sensor = Sensor(n_prism, metal, thickness_nm, wavelength_nm)
+    top = n_prism * math.sin(math.radians(theta_deg)) - _TIR_MARGIN
+    n = np.linspace(1.0, top, 201)
+    closed = _tir_reflectance(sensor, theta_deg, n)
+    assert closed.shape == n.shape
+    assert np.max(np.abs(closed - abs(reflection(sensor, theta_deg, n)) ** 2)) <= 1e-12

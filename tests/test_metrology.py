@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from plasmonq.fresnel import IncidenceGeometry, KretschmannStack, inflection_index, sensitivity
+from plasmonq.fresnel import (IncidenceGeometry, KretschmannStack, inflection_index, reflection,
+                              sensitivity)
 from plasmonq.materials import gold_dispersion
 from plasmonq.metrology import (
     ChannelEfficiencies,
@@ -330,6 +332,37 @@ def test_sweep_ratio_reports_undefined_points_as_nan():
         pairs = sweep_ratio(stack, GEOM_73, [1.333, 1.38], bogus, 1.0)
     assert len(pairs) == 2
     assert any(math.isnan(r) for _, r in pairs)
+
+
+def test_sweep_ratio_equals_scalar_ratio_point_by_point():
+    """The array sweep against a loop of scalar :func:`ratio` calls: equal
+    values, and one warning per undefined point with the same text, in order."""
+    stack = make_stack()
+    grid = np.linspace(1.333, 1.4422, 301).tolist()
+    cases = [(family_statistics(name, 2.0), eta) for name in STATE_FAMILIES
+             for eta in (1.0, 0.37)]
+    cases.append((PhotonStatistics(mean_a=1.0, mean_b=1.0, q_mandel=-1.2, sigma=0.0,
+                                   j_corr=1.0), 1.0))
+    warned_cases = 0
+    for stats, eta in cases:
+        r_abs = abs(reflection(stack, GEOM_73.theta_deg, grid)).tolist()
+        want, messages = [], []
+        for n, r in zip(grid, r_abs):
+            try:
+                want.append((n, ratio(r, eta, stats.q_mandel, stats.sigma)))
+            except MetrologyDomainError as exc:
+                messages.append(f"n_analyte={n}: {exc}")
+                want.append((n, math.nan))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = sweep_ratio(stack, GEOM_73, grid, stats, eta)
+        assert [str(w.message) for w in caught] == messages
+        assert all(w.category is UserWarning for w in caught)
+        assert [n for n, _ in got] == grid
+        assert all(g == w or math.isnan(g) and math.isnan(w)
+                   for (_, g), (_, w) in zip(got, want))
+        warned_cases += bool(messages)
+    assert warned_cases == 1
 
 
 def test_sweep_ratio_rejects_unphysical_grid():

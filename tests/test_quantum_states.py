@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from plasmonq.quantum_states import (
+    AmplitudeUnderflowError,
     CapacityError,
     FockCoefficients,
     PhotonStatistics,
@@ -272,9 +273,18 @@ def test_truncation_errors():
     # tanh(r)**2 rounds to 1, so no cutoff holds the state
     with pytest.raises(TruncationError, match="below cutoff 4096"):
         tmsv(1e17)
-    # the first cutoff tried is capped too: exp(-|alpha|**2/2) underflows
-    with pytest.raises(TruncationError, match="below cutoff 4096"):
+    # exp(-|alpha|**2/2) underflows, so no cutoff holds the state
+    with pytest.raises(AmplitudeUnderflowError, match="underflows to 0"):
         coherent_product(1e5)
+
+
+def test_coherent_amplitudes_that_underflow_are_named():
+    # |alpha|**2 = 1600 is past the ~1490 where exp(-|alpha|**2/2) is 0
+    for cutoff in (None, 10, 2000):
+        with pytest.raises(AmplitudeUnderflowError,
+                           match=r"exp\(-\|alpha\|\^2/2\) underflows to 0 at \|alpha\|\^2 = 1600"):
+            coherent_product(40.0, cutoff=cutoff)
+    assert issubclass(AmplitudeUnderflowError, TruncationError)
 
 
 def test_invalid_photon_numbers():
