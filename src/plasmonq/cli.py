@@ -22,10 +22,8 @@ from . import fock_oracle, metrology
 from .fresnel import (
     FresnelSingularityError,
     IncidenceGeometry,
-    NoInteriorExtremumError,
     Sensor,
     _rsp,
-    _steepest_flank,
     reflection,
     sensitivity,
     transfer_matrix_reflection,
@@ -89,8 +87,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     common.add_argument("--photons", type=float, default=1.0, metavar="N",
                         help="mean photons per mode")
     common.add_argument("--eta", type=float, default=1.0, help="balanced detection efficiency")
-    common.add_argument("--eta-a", type=float, help="sensing-arm detection efficiency")
-    common.add_argument("--eta-b", type=float, help="reference-arm detection efficiency")
     common.add_argument("--fd-step", type=float, default=1e-6, metavar="H",
                         help="finite-difference step, RIU")
     common.add_argument("--grid-points", type=int, default=2001, metavar="K",
@@ -177,10 +173,8 @@ def _validate(args: argparse.Namespace):
         raise ConfigError("grid bounds are reversed")
     if args.photons <= 0.0:
         raise ConfigError(f"photons must be positive, got {args.photons}")
-    for name in ("eta", "eta_a", "eta_b"):
-        value = getattr(args, name)
-        if value is not None and not 0.0 <= value <= 1.0:
-            raise ConfigError(f"{name} must lie in [0, 1], got {value}")
+    if not 0.0 <= args.eta <= 1.0:
+        raise ConfigError(f"eta must lie in [0, 1], got {args.eta}")
     if args.grid_points < 3:
         raise ConfigError("grid_points must be at least 3")
     if args.fd_step <= 0.0:
@@ -216,17 +210,6 @@ def _resolve_metal(args: argparse.Namespace):
 def _sensor(args: argparse.Namespace) -> Sensor:
     return Sensor(n_prism=args.n_prism, metal=_resolve_metal(args),
                   thickness_nm=args.thickness, wavelength_nm=args.wavelength)
-
-
-def _balanced_eta(args: argparse.Namespace) -> float:
-    eta_a = args.eta if args.eta_a is None else args.eta_a
-    eta_b = args.eta if args.eta_b is None else args.eta_b
-    if eta_a != eta_b:
-        raise ConfigError(
-            "the enhancement ratio is defined for balanced detection; "
-            "use --eta instead of distinct --eta-a/--eta-b"
-        )
-    return eta_a
 
 
 def _theta_grid(args: argparse.Namespace) -> list[float]:
@@ -300,25 +283,19 @@ def cmd_index_sweep(args: argparse.Namespace) -> int:
 
 def cmd_inflection(args: argparse.Namespace) -> int:
     thetas = _theta_grid(args)
-    found = _steepest_flank(_sensor(args), thetas, _index_range(args), tol=1e-9,
-                            h=args.fd_step, grid_points=args.grid_points)
-    columns = {"theta_deg": [], "n_inf": []}
-    for theta, n_inf in zip(thetas, found):
-        if isinstance(n_inf, NoInteriorExtremumError):
-            warnings.warn(f"theta={theta} deg skipped: {n_inf}", stacklevel=2)
-        else:
-            columns["theta_deg"].append(theta)
-            columns["n_inf"].append(n_inf)
-    _note_if_empty(args, thetas, columns["n_inf"])
-    _emit(args, columns)
+    points = metrology._operating_points(_sensor(args), thetas, _index_range(args),
+                                         tol=1e-9, h=args.fd_step,
+                                         grid_points=args.grid_points)
+    _note_if_empty(args, thetas, points)
+    _emit(args, {"theta_deg": [theta for theta, _ in points],
+                 "n_inf": [n_inf for _, n_inf in points]})
     return 0
 
 
 def cmd_ratio(args: argparse.Namespace) -> int:
-    eta = _balanced_eta(args)
     stats = family_statistics("twin-fock" if args.state is None else args.state, args.photons)
     geom = IncidenceGeometry(args.theta)
-    pairs = metrology.sweep_ratio(_sensor(args), geom, _index_grid(args), stats, eta)
+    pairs = metrology.sweep_ratio(_sensor(args), geom, _index_grid(args), stats, args.eta)
     _emit(args, {"n_analyte": [n for n, _ in pairs], "R": [r for _, r in pairs]})
     return 0
 
@@ -328,7 +305,7 @@ def cmd_precision(args: argparse.Namespace) -> int:
               else [state_family(args.state)])
     thetas = _theta_grid(args)
     rows = metrology.sweep_precision_vs_angle(
-        _sensor(args), thetas, states, n_photons=args.photons, eta=_balanced_eta(args),
+        _sensor(args), thetas, states, n_photons=args.photons, eta=args.eta,
         n_range=_index_range(args), h=args.fd_step, grid_points=args.grid_points)
     _note_if_empty(args, thetas, rows)
     _emit(args, {name: [row[name] for row in rows]

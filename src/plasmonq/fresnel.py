@@ -26,7 +26,6 @@ __all__ = [
     "Sensor",
     "KretschmannStack",
     "ReflectionResult",
-    "resolve_permittivity",
     "tangential_wavevector",
     "wavevector_z",
     "interface_reflection",
@@ -45,21 +44,6 @@ class FresnelSingularityError(ZeroDivisionError):
 
 class NoInteriorExtremumError(ValueError):
     """A scanned extremum fell on the search boundary instead of inside it."""
-
-
-def resolve_permittivity(metal, wavelength_nm: float) -> complex:
-    """Turn a metal description into a complex permittivity.
-
-    Accepts a plain complex number or any object with a
-    ``permittivity(wavelength_nm)`` method (e.g. a dispersion table or a
-    Drude-Lorentz parameter set).
-    """
-    if isinstance(metal, (int, float, complex)):
-        return complex(metal)
-    method = getattr(metal, "permittivity", None)
-    if callable(method):
-        return complex(method(wavelength_nm))
-    raise TypeError(f"cannot interpret {type(metal).__name__} as a metal permittivity")
 
 
 @dataclass(frozen=True)
@@ -81,7 +65,12 @@ class IncidenceGeometry:
 @dataclass(frozen=True)
 class Sensor:
     """The fixed sensing hardware: prism | metal film of given thickness, at
-    one vacuum wavelength.  The analyte index is passed per call."""
+    one vacuum wavelength.  The analyte index is passed per call.
+
+    ``metal`` is a plain complex permittivity or any object with a
+    ``permittivity(wavelength_nm)`` method (e.g. a dispersion table or a
+    Drude-Lorentz parameter set).
+    """
 
     n_prism: float
     metal: object
@@ -96,9 +85,15 @@ class Sensor:
         if not self.wavelength_nm > 0.0:
             raise ValueError("wavelength_nm must be positive")
         # Resolve the film permittivity once; the wavelength is fixed.
-        object.__setattr__(
-            self, "_eps_metal", resolve_permittivity(self.metal, self.wavelength_nm)
-        )
+        method = getattr(self.metal, "permittivity", None)
+        if isinstance(self.metal, (int, float, complex)):
+            eps = complex(self.metal)
+        elif callable(method):
+            eps = complex(method(self.wavelength_nm))
+        else:
+            raise TypeError(
+                f"cannot interpret {type(self.metal).__name__} as a metal permittivity")
+        object.__setattr__(self, "_eps_metal", eps)
 
     @property
     def metal_permittivity(self) -> complex:
@@ -415,6 +410,8 @@ def _steepest_flank(stack: Sensor, thetas, n_range: tuple[float, float],
     sections that refine the brackets run in lockstep on :func:`sensitivity`,
     i.e. on the kernel, so the scan only picks each bracket.
     """
+    if h <= 0.0:
+        raise ValueError("finite-difference step h must be positive")
     lo, hi = n_range
     if not (h < lo < hi < stack.n_prism - h):
         raise ValueError(f"n_range {n_range} must be ordered inside (h, n_prism - h)")

@@ -286,6 +286,25 @@ def sweep_ratio(
     return list(zip(grid, values.tolist()))
 
 
+def _operating_points(stack: Sensor, theta_grid, n_range: tuple[float, float],
+                      tol: float, h: float, grid_points: int) -> list[tuple[float, float]]:
+    """The ``(theta, n_inf)`` steep-flank operating points of ``theta_grid``.
+
+    An angle without an interior steepest point is dropped with one warning
+    that names it, attributed to the caller of this function's caller.
+    """
+    theta_grid = list(theta_grid)
+    found = _steepest_flank(stack, [float(theta) for theta in theta_grid], n_range, tol, h,
+                            grid_points)
+    points = []
+    for theta, n_inf in zip(theta_grid, found):
+        if isinstance(n_inf, NoInteriorExtremumError):
+            warnings.warn(f"theta={theta} deg skipped: {n_inf}", stacklevel=3)
+        else:
+            points.append((float(theta), n_inf))
+    return points
+
+
 def sweep_precision_vs_angle(
     stack: Sensor,
     theta_grid,
@@ -315,16 +334,9 @@ def sweep_precision_vs_angle(
             label, stats = item
             resolved.append((str(label), stats))
     eff = ChannelEfficiencies(eta, eta)
-    theta_grid = list(theta_grid)
-    found = _steepest_flank(stack, [float(theta) for theta in theta_grid], n_range, tol, h,
-                            grid_points)
-    thetas, n_infs = [], []
-    for theta, n_inf in zip(theta_grid, found):
-        if isinstance(n_inf, NoInteriorExtremumError):
-            warnings.warn(f"theta={theta} deg skipped: {n_inf}", stacklevel=2)
-        else:
-            thetas.append(float(theta))
-            n_infs.append(n_inf)
+    points = _operating_points(stack, theta_grid, n_range, tol, h, grid_points)
+    thetas = [theta for theta, _ in points]
+    n_infs = [n_inf for _, n_inf in points]
     r_abs = abs(reflection(stack, thetas, [[n - h for n in n_infs], n_infs,
                                            [n + h for n in n_infs]]))
     rows: list[dict] = []

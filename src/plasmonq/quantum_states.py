@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,9 +166,10 @@ def coherent_product(
     """Product of identical coherent states, ``C[n, m] ~ alpha**(n+m)/sqrt(n! m!)``.
 
     With ``cutoff=None`` the cutoff grows until the truncation weight drops
-    below ``truncation_tol``.  Past ``|alpha|**2`` of about 1490 the vacuum
-    amplitude ``exp(-|alpha|**2/2)`` underflows to 0, and so would every
-    other; that raises :class:`AmplitudeUnderflowError`.
+    below ``truncation_tol``.  Past ``|alpha|**2`` of about 1416.8 the vacuum
+    amplitude ``exp(-|alpha|**2/2)`` is subnormal, so the recurrence would
+    start from a few significant bits (past about 1490 it is 0); that raises
+    :class:`AmplitudeUnderflowError`.
     """
     alpha = complex(alpha)
     if not cmath.isfinite(alpha):
@@ -175,9 +177,10 @@ def coherent_product(
     vacuum = math.exp(-0.5 * abs(alpha) ** 2)
 
     def amplitudes(c: int) -> np.ndarray:
-        if vacuum == 0.0:
+        if vacuum < sys.float_info.min:
+            how = "underflows to 0" if vacuum == 0.0 else f"is subnormal ({vacuum:.3g})"
             raise AmplitudeUnderflowError(
-                f"coherent_product: the vacuum amplitude exp(-|alpha|^2/2) underflows to 0 "
+                f"coherent_product: the vacuum amplitude exp(-|alpha|^2/2) {how} "
                 f"at |alpha|^2 = {abs(alpha) ** 2:.6g}"
             )
         s = np.empty(c + 1, dtype=complex)
@@ -339,7 +342,7 @@ def load_coefficients(src) -> FockCoefficients:
     own = isinstance(src, (str, bytes)) or hasattr(src, "__fspath__")
     fh = open(src, "r", encoding="utf-8") if own else src
     try:
-        rows = []
+        rows = {}  # (n, m) -> (line number, amplitude)
         for line_number, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#") or line.startswith("n,"):
@@ -348,14 +351,19 @@ def load_coefficients(src) -> FockCoefficients:
             if len(cells) != 4:
                 raise ValueError(f"line {line_number}: expected n,m,re,im")
             n, m = int(cells[0]), int(cells[1])
-            rows.append((n, m, float(cells[2]), float(cells[3])))
+            if n < 0 or m < 0:
+                raise ValueError(f"line {line_number}: negative Fock index ({n}, {m})")
+            if (n, m) in rows:
+                raise ValueError(f"line {line_number}: ({n}, {m}) is already set "
+                                 f"on line {rows[n, m][0]}")
+            rows[n, m] = (line_number, complex(float(cells[2]), float(cells[3])))
     finally:
         if own:
             fh.close()
     if not rows:
         raise ValueError("no coefficient rows found")
-    size = max(max(n, m) for n, m, _, _ in rows) + 1
+    size = max(map(max, rows)) + 1
     c = np.zeros((size, size), dtype=complex)
-    for n, m, re, im in rows:
-        c[n, m] = complex(re, im)
+    for (n, m), (_, amplitude) in rows.items():
+        c[n, m] = amplitude
     return FockCoefficients._adopt(c)

@@ -93,10 +93,17 @@ def test_ratio_schema(capsys):
     assert len(rows) == 7
 
 
-def test_ratio_rejects_unbalanced_efficiencies(capsys):
-    code, _, err = run_cli(capsys, "ratio", "--eta-a", "0.9", "--eta-b", "0.5")
+def test_per_arm_efficiencies_are_not_settings(tmp_path, capsys):
+    # detection is balanced: --eta is the one efficiency setting
+    with pytest.raises(SystemExit) as exit_info:
+        main(["ratio", "--eta-a", "0.9"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --eta-a 0.9" in capsys.readouterr().err
+    config = write_config(tmp_path, {"eta_a": 0.9})
+    code, out, err = run_cli(capsys, "ratio", "--config", config)
     assert code == 2
-    assert "balanced" in err
+    assert out == ""
+    assert "unknown config key 'eta_a'" in err
 
 
 def test_precision_default_state_trio(capsys):

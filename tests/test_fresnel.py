@@ -470,6 +470,13 @@ def test_inflection_search_needs_a_tir_window():
         inflection_index(make_stack(), IncidenceGeometry(65.5), n_range=(1.40, 1.4422))
 
 
+@pytest.mark.parametrize("h", [0.0, -1e-6])
+def test_inflection_search_rejects_a_step_that_is_not_positive(h):
+    # rejected before the scan, which would divide by 2h (0/0 at h = 0)
+    with pytest.raises(ValueError, match="finite-difference step h must be positive"):
+        inflection_index(make_stack(), GEOM_73, h=h)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

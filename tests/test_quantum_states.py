@@ -287,6 +287,20 @@ def test_coherent_amplitudes_that_underflow_are_named():
     assert issubclass(AmplitudeUnderflowError, TruncationError)
 
 
+@pytest.mark.parametrize("alpha2", [1420.0, 1450.0, 1480.0, 1490.0])
+def test_coherent_amplitudes_that_are_subnormal_are_named(alpha2):
+    # exp(-|alpha|**2/2) is subnormal past |alpha|**2 ~ 1416.8: the recurrence
+    # would start from a few significant bits, so no state is built
+    with pytest.raises(AmplitudeUnderflowError, match=r"exp\(-\|alpha\|\^2/2\) is subnormal"):
+        coherent_product(np.sqrt(alpha2))
+
+
+def test_coherent_state_just_below_the_subnormal_range_builds():
+    state = coherent_product(np.sqrt(1416.0))
+    assert state.truncation_weight <= 1e-10
+    assert statistics(state).mean_a == pytest.approx(1416.0, rel=1e-12)
+
+
 def test_invalid_photon_numbers():
     with pytest.raises(ValueError):
         twin_fock(-1)
@@ -383,4 +397,19 @@ def test_load_rejects_malformed_rows(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("n,m,re,im\n0,0,1.0\n")
     with pytest.raises(ValueError):
+        load_coefficients(path)
+
+
+def test_load_rejects_a_negative_index(tmp_path):
+    # numpy would read C[-1, 0] as the last row and overwrite C[0, 0]
+    path = tmp_path / "bad.csv"
+    path.write_text("n,m,re,im\n0,0,0.6,0\n-1,0,0.8,0\n")
+    with pytest.raises(ValueError, match=r"line 3: negative Fock index \(-1, 0\)"):
+        load_coefficients(path)
+
+
+def test_load_rejects_a_repeated_entry(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("n,m,re,im\n0,0,0.6,0\n1,1,0.8,0\n0,0,0.8,0\n")
+    with pytest.raises(ValueError, match=r"line 4: \(0, 0\) is already set on line 2"):
         load_coefficients(path)
