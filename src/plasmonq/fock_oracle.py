@@ -169,6 +169,7 @@ def _count_moments(size: int, transmittance: float) -> tuple[np.ndarray, np.ndar
         spread *= spread
         spread *= block
         var[start:end] = spread.sum(axis=0)
+        del spread  # freed before the next block is built
     return mean, var
 
 

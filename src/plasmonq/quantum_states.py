@@ -62,15 +62,18 @@ class FockCoefficients:
     """Immutable two-mode Fock expansion on ``n, m in 0..cutoff``.
 
     ``sum |C|**2`` may fall short of 1 for truncated continuous-spectrum
-    states; the deficit is exposed as :attr:`truncation_weight`.  A caller's
-    array is copied, never frozen or aliased; the constructors here adopt
-    their fresh arrays uncopied.
+    states; the deficit is exposed as :attr:`truncation_weight`.  A real
+    array is stored as ``float64`` and a complex one as ``complex128``, so
+    the real states built here hold half the bytes.  A caller's array is
+    copied, never frozen or aliased; the constructors here adopt their fresh
+    arrays uncopied.
     """
 
     coeffs: np.ndarray
 
     def __post_init__(self, copy: bool = True):
-        arr = np.array(self.coeffs, dtype=complex, copy=copy)
+        dtype = float if np.isrealobj(self.coeffs) else complex
+        arr = np.array(self.coeffs, dtype=dtype, copy=copy)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValueError(f"coefficient matrix must be square, got shape {arr.shape}")
         total = float(np.vdot(arr, arr).real)
@@ -89,7 +92,7 @@ class FockCoefficients:
 
     @classmethod
     def _adopt(cls, arr: np.ndarray) -> FockCoefficients:
-        """Wrap ``arr``, a fresh complex array nothing else refers to, uncopied."""
+        """Wrap ``arr``, a fresh float or complex array nothing else refers to, uncopied."""
         state = object.__new__(cls)
         object.__setattr__(state, "coeffs", arr)
         state.__post_init__(copy=False)
@@ -187,7 +190,8 @@ def coherent_product(
         s[0] = vacuum
         for n in range(c):
             s[n + 1] = s[n] * alpha / math.sqrt(n + 1)
-        return s
+        # a real recurrence would round differently; the real part is exact
+        return s.real.copy() if alpha.imag == 0.0 else s
 
     start = max(8, int(abs(alpha) ** 2 + 10.0 * math.sqrt(abs(alpha) ** 2 + 1.0)))
     return _product("coherent_product", amplitudes, cutoff, truncation_tol, start)
@@ -202,7 +206,7 @@ def twin_fock(n_photons: int, cutoff: int | None = None) -> FockCoefficients:
         cutoff = n_photons
     if cutoff < n_photons:
         raise CapacityError(f"cutoff {cutoff} cannot hold |{n_photons},{n_photons}>")
-    c = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    c = np.zeros((cutoff + 1, cutoff + 1))
     c[n_photons, n_photons] = 1.0
     return FockCoefficients._adopt(c)
 
@@ -227,7 +231,7 @@ def tmsv(
     cutoff = _cutoff("tmsv", lambda c: lam2 ** (c + 1), cutoff, truncation_tol, start,
                      lambda c: c + 1)
     lam = math.sqrt(lam2)
-    c = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    c = np.zeros((cutoff + 1, cutoff + 1))
     c[np.diag_indices(cutoff + 1)] = math.sqrt(1.0 - lam2) * lam ** np.arange(cutoff + 1)
     return FockCoefficients._adopt(c)
 
@@ -241,7 +245,7 @@ def noon(n_photons: int, cutoff: int | None = None) -> FockCoefficients:
         cutoff = 2 * n_photons
     if cutoff < 2 * n_photons:
         raise CapacityError(f"cutoff {cutoff} cannot hold |{2 * n_photons},0>")
-    c = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    c = np.zeros((cutoff + 1, cutoff + 1))
     c[2 * n_photons, 0] = c[0, 2 * n_photons] = 1.0 / math.sqrt(2.0)
     return FockCoefficients._adopt(c)
 
@@ -262,7 +266,7 @@ def squeezed_product(
     factor = -sinh_r / cosh_r  # -tanh(r)
 
     def amplitudes(c: int) -> np.ndarray:
-        s = np.zeros(c + 1, dtype=complex)
+        s = np.zeros(c + 1)
         s[0] = 1.0 / math.sqrt(cosh_r)
         term = s[0]
         for k in range(1, c // 2 + 1):
@@ -278,7 +282,9 @@ def _row_blocks(coeffs: np.ndarray):
     """``(rows, |coeffs[rows]|**2)`` for blocks of ``_ROW_BLOCK`` rows, top down."""
     for start in range(0, coeffs.shape[0], _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        yield rows, np.abs(coeffs[rows]) ** 2
+        p = np.abs(coeffs[rows])
+        p *= p
+        yield rows, p
 
 
 def statistics(state: FockCoefficients) -> PhotonStatistics:
@@ -318,8 +324,14 @@ def statistics(state: FockCoefficients) -> PhotonStatistics:
 
 def is_twin_mode(state: FockCoefficients, tol: float = 1e-12) -> bool:
     """Whether ``|C[n, m]|`` is symmetric under mode exchange."""
-    mags = np.abs(state.coeffs)
-    return bool(np.max(np.abs(mags - mags.T)) <= tol)
+    c = state.coeffs
+    for start in range(0, c.shape[0], _ROW_BLOCK):  # no size^2 temporaries
+        rows = slice(start, start + _ROW_BLOCK)
+        gap = np.abs(c[rows])
+        gap -= np.abs(c[:, rows]).T
+        if not np.max(np.abs(gap, out=gap)) <= tol:
+            return False
+    return True
 
 
 def save_coefficients(state: FockCoefficients, dest) -> None:
@@ -338,7 +350,7 @@ def save_coefficients(state: FockCoefficients, dest) -> None:
 
 
 def load_coefficients(src) -> FockCoefficients:
-    """Read back a dump produced by :func:`save_coefficients`."""
+    """Read back a dump of :func:`save_coefficients`; with every ``im`` 0 it is real."""
     own = isinstance(src, (str, bytes)) or hasattr(src, "__fspath__")
     fh = open(src, "r", encoding="utf-8") if own else src
     try:
@@ -366,4 +378,4 @@ def load_coefficients(src) -> FockCoefficients:
     c = np.zeros((size, size), dtype=complex)
     for (n, m), (_, amplitude) in rows.items():
         c[n, m] = amplitude
-    return FockCoefficients._adopt(c)
+    return FockCoefficients._adopt(c if c.imag.any() else c.real.copy())

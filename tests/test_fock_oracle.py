@@ -26,6 +26,7 @@ from plasmonq.metrology import (
 from plasmonq.quantum_states import (
     FockCoefficients,
     coherent_product,
+    is_twin_mode,
     noon,
     squeezed_product,
     statistics,
@@ -213,6 +214,7 @@ def test_state_layer_and_oracle_hold_little_beyond_the_state():
     eff = ChannelEfficiencies(0.8, 0.9)
     oracle_measurement(tmsv(1.0), 0.5, eff)  # warm up lazy numpy set-up
     statistics(tmsv(1.0))
+    is_twin_mode(tmsv(1.0))
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
@@ -223,7 +225,8 @@ def test_state_layer_and_oracle_hold_little_beyond_the_state():
         held = state.coeffs.nbytes
         build_peak = tracemalloc.get_traced_memory()[1] - before
         peaks = []
-        for run in (lambda: statistics(state), lambda: oracle_measurement(state, 0.5, eff)):
+        for run in (lambda: statistics(state), lambda: oracle_measurement(state, 0.5, eff),
+                    lambda: is_twin_mode(state)):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             run()
@@ -232,9 +235,36 @@ def test_state_layer_and_oracle_hold_little_beyond_the_state():
         if not was_tracing:
             tracemalloc.stop()
     assert state.cutoff + 1 == 1117
+    assert held == 8 * 1117**2  # float64: the state is real
     assert build_peak < 1.5 * held
     assert peaks[0] < 0.25 * held, "statistics()"
     assert peaks[1] < 0.25 * held, "oracle_measurement"
+    assert peaks[2] < 0.25 * held, "is_twin_mode"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: coherent_product(1.0),
+        lambda: coherent_product(-2.5),
+        lambda: twin_fock(2),
+        lambda: tmsv(1.0),
+        lambda: noon(2),
+        lambda: squeezed_product(0.5),
+        lambda: squeezed_product(3.0),
+        lambda: tmsv(48.0),
+    ],
+)
+def test_real_storage_gives_the_bits_of_complex_storage(build):
+    """|C|^2 of a float64 entry is the |C|^2 of the same complex entry, so the
+    statistics and the oracle moments do not depend on the stored dtype."""
+    state = build()
+    as_complex = FockCoefficients(state.coeffs.astype(complex))
+    assert state.coeffs.dtype == np.float64 and as_complex.coeffs.dtype == np.complex128
+    assert statistics(state) == statistics(as_complex)
+    eff = ChannelEfficiencies(0.8, 0.9)
+    for r_abs in (0.3, 1.0):
+        assert oracle_measurement(state, r_abs, eff) == oracle_measurement(as_complex, r_abs, eff)
 
 
 def test_single_photon_thinning_by_hand():

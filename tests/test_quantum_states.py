@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from plasmonq.quantum_states import (
+    _ROW_BLOCK,
     AmplitudeUnderflowError,
     CapacityError,
     FockCoefficients,
@@ -254,6 +255,29 @@ def test_is_twin_mode_rejects_asymmetric():
     assert not is_twin_mode(FockCoefficients(coeffs))
 
 
+@pytest.mark.parametrize("size", [1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1,
+                                  2 * _ROW_BLOCK + 5])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_is_twin_mode_by_blocks_matches_the_whole_matrix(size, dtype):
+    """The blocked comparison gives the boolean of ``max ||C| - |C|.T| <= tol``,
+    wherever in the matrix the largest asymmetry sits."""
+    rng = np.random.default_rng(size)
+    for n, m in ((0, size - 1), (size - 1, 0), (size // 2, size // 3)):
+        mags = rng.random((size, size))
+        coeffs = ((mags + mags.T) / 2.0).astype(dtype)
+        if dtype is complex:
+            coeffs *= np.exp(1j * rng.uniform(-math.pi, math.pi, (size, size)))
+        coeffs /= 2.0 * np.linalg.norm(coeffs)
+        for bump in (0.0, 1e-13, 1e-11, 1e-3):
+            bumped = coeffs.copy()
+            bumped[n, m] += bump
+            state = FockCoefficients(bumped)
+            mags = np.abs(state.coeffs)
+            for tol in (1e-12, 0.0):
+                expected = bool(np.max(np.abs(mags - mags.T)) <= tol)
+                assert is_twin_mode(state, tol) == expected
+
+
 # ------------------------------------------------------------- error handling
 
 def test_capacity_errors():
@@ -362,6 +386,62 @@ def test_caller_array_is_copied_not_frozen():
     assert state.coeffs[1, 1] == 1.0
 
 
+def test_caller_real_array_is_stored_as_float64_copied_not_aliased():
+    coeffs = np.zeros((2, 2))
+    coeffs[1, 1] = 1.0
+    state = FockCoefficients(coeffs)
+    assert state.coeffs.dtype == np.float64
+    assert coeffs.flags.writeable
+    assert not np.shares_memory(state.coeffs, coeffs)
+    coeffs[1, 1] = 0.5
+    assert state.coeffs[1, 1] == 1.0
+    assert FockCoefficients([[0, 0], [0, 1]]).coeffs.dtype == np.float64
+    assert FockCoefficients(np.eye(2, dtype=np.float32)[:1, :1]).coeffs.dtype == np.float64
+
+
+def test_caller_complex_array_stays_complex128():
+    # the dtype decides, not the values: a zero imaginary part is kept
+    for coeffs in (np.eye(2, dtype=complex)[:1, :1], np.array([[0.6j, 0.0], [0.0, 0.8]]),
+                   [[1j]], np.eye(1, dtype=np.complex64)):
+        assert FockCoefficients(coeffs).coeffs.dtype == np.complex128
+
+
+REAL_FAMILIES = [
+    lambda: coherent_product(1.3),
+    lambda: coherent_product(-0.7),
+    lambda: coherent_product(0.0),
+    lambda: twin_fock(2),
+    lambda: tmsv(2.0),
+    lambda: tmsv(0.0),
+    lambda: noon(2),
+    lambda: squeezed_product(0.5),
+    lambda: squeezed_product(0.0),
+]
+
+
+@pytest.mark.parametrize("build", REAL_FAMILIES)
+def test_real_parameters_build_float64_coefficients(build):
+    state = build()
+    assert state.coeffs.dtype == np.float64
+
+
+def test_complex_coherent_amplitude_builds_complex128_coefficients():
+    alpha = 0.7 + 0.4j
+    state = coherent_product(alpha)
+    assert state.coeffs.dtype == np.complex128
+    assert state.coeffs[1, 0] == pytest.approx(alpha * math.exp(-abs(alpha) ** 2),
+                                               abs=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [1.3, -0.7, math.sqrt(48.0)])
+def test_real_coherent_coefficients_are_the_real_part_of_the_complex_recurrence(alpha):
+    """The stored reals are bit for bit the real parts of the complex build."""
+    real = coherent_product(alpha)
+    tilted = coherent_product(complex(alpha, 1e-300), cutoff=real.cutoff)
+    assert tilted.coeffs.dtype == np.complex128
+    assert np.array_equal(real.coeffs, tilted.coeffs.real)
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -391,6 +471,34 @@ def test_save_load_round_trip(tmp_path):
     save_coefficients(state, path)
     back = load_coefficients(path)
     assert np.array_equal(back.coeffs, state.coeffs)
+
+
+@pytest.mark.parametrize("build", REAL_FAMILIES)
+def test_real_state_round_trips_with_its_dtype(tmp_path, build):
+    state = build()
+    path = tmp_path / "state.csv"
+    save_coefficients(state, path)
+    assert all(line.endswith(",0.0") for line in path.read_text().splitlines()[1:])
+    back = load_coefficients(path)
+    assert back.coeffs.dtype == np.float64
+    assert np.array_equal(back.coeffs, state.coeffs)
+
+
+def test_complex_state_round_trips_as_complex128(tmp_path):
+    state = coherent_product(0.7 + 0.4j)
+    path = tmp_path / "state.csv"
+    save_coefficients(state, path)
+    back = load_coefficients(path)
+    assert back.coeffs.dtype == np.complex128
+    assert np.array_equal(back.coeffs, state.coeffs)
+
+
+def test_load_with_every_imaginary_part_zero_is_real(tmp_path):
+    path = tmp_path / "state.csv"
+    path.write_text("n,m,re,im\n0,0,0.6,-0.0\n1,1,0.8,0\n")
+    assert load_coefficients(path).coeffs.dtype == np.float64
+    path.write_text("n,m,re,im\n0,0,0.6,0\n1,1,0,0.8\n")
+    assert load_coefficients(path).coeffs[1, 1] == 0.8j
 
 
 def test_load_rejects_malformed_rows(tmp_path):
