@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrology import ChannelEfficiencies, DivergenceError, MeasurementStats
-from .quantum_states import FockCoefficients, _row_blocks, coherent_product
+from .quantum_states import FockCoefficients, coherent_product
 
 __all__ = [
     "JointNumberDistribution",
@@ -76,9 +76,9 @@ def joint_distribution(state: FockCoefficients) -> JointNumberDistribution:
 
 # Columns per kernel block, and the widest product of the blocked build.
 # _count_moments reduces one block at a time, so the oracle holds one block
-# of kernel columns and one block of state rows, ~0.6 MB each at the cutoffs
-# past 1000 that bright TMSV states reach.  binomial_thinning holds its
-# input, its result and one whole kernel.
+# of kernel columns, ~0.6 MB at the cutoffs past 1000 that bright TMSV
+# states reach, besides a few arrays per nonzero state entry.
+# binomial_thinning holds its input, its result and one whole kernel.
 _BLOCK = 64
 
 
@@ -182,29 +182,25 @@ def oracle_measurement(
     ``sum_m p_b[m] mean_b[m] - sum_n p_a[n] mean_a[n]`` over the marginals,
     and the variance is the expected conditional variance plus the spread
     of the conditional means.  No size^3 product is run and no thinned
-    distribution is formed; ``|C|^2`` is read a block of rows at a time,
-    once for the marginals and once for the spread.
+    distribution is formed: ``|C|^2`` is summed over the state's nonzero
+    entries, into the marginals and then into the spread.
     """
     if not 0.0 <= r_abs <= 1.0:
         raise ValueError(f"r_abs must lie in [0, 1], got {r_abs}")
-    size = state.cutoff + 1
-    mean_a, var_a = _count_moments(size, r_abs**2 * eff.eta_a**2)
-    mean_b, var_b = _count_moments(size, eff.eta_b**2)
-    p_a, p_b = np.empty(size), np.zeros(size)
-    for rows, probs in _row_blocks(state.coeffs):
-        p_a[rows] = probs.sum(axis=1)
-        p_b += probs.sum(axis=0)
+    mean_a, var_a = _count_moments(state.size, r_abs**2 * eff.eta_a**2)
+    mean_b, var_b = _count_moments(state.size, eff.eta_b**2)
+    probs = np.abs(state.values)
+    probs *= probs
+    p_a = np.bincount(state.rows, weights=probs, minlength=state.size)
+    p_b = np.bincount(state.cols, weights=probs, minlength=state.size)
     mean = float(p_b @ mean_b - p_a @ mean_a)
     # Law of total variance over the input counts (n, m).  The last term
     # keeps ``E[(l - k)^2] - mean^2`` when the probabilities sum below 1.
-    spread_sum = 0.0
-    for rows, probs in _row_blocks(state.coeffs):
-        spread = (mean_b - mean)[np.newaxis, :] - mean_a[rows, np.newaxis]
-        spread *= spread
-        spread *= probs
-        spread_sum += float(spread.sum())
+    spread = (mean_b - mean)[state.cols] - mean_a[state.rows]
+    spread *= spread
+    spread *= probs
     variance = (
-        float(p_a @ var_a + p_b @ var_b + spread_sum)
+        float(p_a @ var_a + p_b @ var_b + spread.sum())
         + mean * mean * (1.0 - float(p_a.sum()))
     )
     return MeasurementStats(mean=mean, std=math.sqrt(max(0.0, variance)))

@@ -80,6 +80,8 @@ class Sensor:
     def __post_init__(self):
         if not self.n_prism > 1.0:
             raise ValueError(f"n_prism={self.n_prism} must exceed 1")
+        if self.n_prism == math.inf:
+            raise ValueError("n_prism must be finite")
         if not self.thickness_nm > 0.0:
             raise ValueError("thickness_nm must be positive")
         if not self.wavelength_nm > 0.0:

@@ -219,6 +219,8 @@ def state_family(name: str) -> str:
 def family_statistics(family: str, n_photons: float) -> PhotonStatistics:
     """Closed-form :class:`PhotonStatistics` for a named beam family."""
     key = state_family(family)
+    if not math.isfinite(n_photons):
+        raise ValueError(f"n_photons must be finite, got {n_photons}")
     if n_photons <= 0.0:
         raise ValueError(f"n_photons must be positive, got {n_photons}")
     if key in ("twin-fock", "noon") and n_photons != int(n_photons):

@@ -1,10 +1,10 @@
 """Twin-mode photon-number states and their counting statistics.
 
-A two-mode pure state is stored as its Fock coefficient matrix ``C[n, m]``
-on a finite cutoff.  "Twin-mode" means ``|C[n, m]| == |C[m, n]|``, which
-makes the per-mode means and variances equal.  Constructors are provided
-for the five beam families compared in the sensing analysis; statistics
-are obtained by direct summation over ``|C|**2``, so phases never enter.
+A two-mode pure state is stored as the nonzero entries of its Fock matrix
+``C[n, m]`` on a finite cutoff.  "Twin-mode" means ``|C[n, m]| == |C[m, n]|``,
+which makes the per-mode means and variances equal.  Constructors are provided
+for the five beam families compared in the sensing analysis; statistics are
+obtained by direct summation over ``|C|**2``, so phases never enter.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
 DEFAULT_TRUNCATION_TOL = 1e-10
 
 _MAX_AUTO_CUTOFF = 4096
-_ROW_BLOCK = 64  # rows of |C|**2 formed at a time by statistics() and the Fock oracle
 
 
 class TruncationError(ValueError):
@@ -57,46 +56,61 @@ class UndefinedStatisticsError(ValueError):
     """Counting statistics are undefined (vacuum mode: zero mean photon number)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FockCoefficients:
     """Immutable two-mode Fock expansion on ``n, m in 0..cutoff``.
 
-    ``sum |C|**2`` may fall short of 1 for truncated continuous-spectrum
-    states; the deficit is exposed as :attr:`truncation_weight`.  A real
-    array is stored as ``float64`` and a complex one as ``complex128``, so
-    the real states built here hold half the bytes.  A caller's array is
-    copied, never frozen or aliased; the constructors here adopt their fresh
-    arrays uncopied.
+    Only the nonzero entries are held, ``C[rows[i], cols[i]] = values[i]``
+    sorted row-major, as ``float64`` for a real array and ``complex128`` for a
+    complex one.  ``sum |C|**2`` may fall short of 1 for truncated
+    continuous-spectrum states; the deficit is exposed as
+    :attr:`truncation_weight`.  ``FockCoefficients(C)`` copies the nonzero
+    entries of a square array, which is never frozen or aliased.
     """
 
-    coeffs: np.ndarray
+    size: int
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
 
-    def __post_init__(self, copy: bool = True):
-        dtype = float if np.isrealobj(self.coeffs) else complex
-        arr = np.array(self.coeffs, dtype=dtype, copy=copy)
+    def __init__(self, coeffs):
+        arr = np.asarray(coeffs, dtype=float if np.isrealobj(coeffs) else complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValueError(f"coefficient matrix must be square, got shape {arr.shape}")
-        total = float(np.vdot(arr, arr).real)
+        rows, cols = np.nonzero(arr)
+        self._hold(arr.shape[0], rows, cols, arr[rows, cols])
+
+    @classmethod
+    def _entries(cls, size: int, rows, cols, values: np.ndarray) -> FockCoefficients:
+        """The state whose nonzero entries, sorted row-major, are the arguments."""
+        state = object.__new__(cls)
+        state._hold(size, np.asarray(rows), np.asarray(cols), values)
+        return state
+
+    def _hold(self, size: int, rows, cols, values: np.ndarray) -> None:
+        total = float(np.vdot(values, values).real)
         if total > 1.0 + 1e-9:
             raise ValueError(f"coefficients are over-normalised: sum |C|^2 = {total}")
+        for name, arr in (("rows", rows), ("cols", cols), ("values", values)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "size", size)
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The dense, read-only ``C[n, m]``, built on each access."""
+        arr = np.zeros((self.size, self.size), dtype=self.values.dtype)
+        arr[self.rows, self.cols] = self.values
         arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
+        return arr
 
     @property
     def cutoff(self) -> int:
-        return self.coeffs.shape[0] - 1
+        return self.size - 1
 
     @property
     def truncation_weight(self) -> float:
-        return max(0.0, 1.0 - float(np.vdot(self.coeffs, self.coeffs).real))
-
-    @classmethod
-    def _adopt(cls, arr: np.ndarray) -> FockCoefficients:
-        """Wrap ``arr``, a fresh float or complex array nothing else refers to, uncopied."""
-        state = object.__new__(cls)
-        object.__setattr__(state, "coeffs", arr)
-        state.__post_init__(copy=False)
-        return state
+        return max(0.0, 1.0 - float(np.vdot(self.values, self.values).real))
 
 
 @dataclass(frozen=True)
@@ -146,7 +160,7 @@ def _product(family: str, amplitudes, cutoff: int | None, tol: float,
 
     _check_tolerance(tol)
     s = tried[_cutoff(family, weight, cutoff, tol, start, lambda c: 2 * c)]
-    return FockCoefficients._adopt(np.outer(s, s))
+    return FockCoefficients(np.outer(s, s))
 
 
 def _check_tolerance(tol: float) -> None:
@@ -191,7 +205,7 @@ def coherent_product(
         for n in range(c):
             s[n + 1] = s[n] * alpha / math.sqrt(n + 1)
         # a real recurrence would round differently; the real part is exact
-        return s.real.copy() if alpha.imag == 0.0 else s
+        return s.real if alpha.imag == 0.0 else s
 
     start = max(8, int(abs(alpha) ** 2 + 10.0 * math.sqrt(abs(alpha) ** 2 + 1.0)))
     return _product("coherent_product", amplitudes, cutoff, truncation_tol, start)
@@ -206,9 +220,7 @@ def twin_fock(n_photons: int, cutoff: int | None = None) -> FockCoefficients:
         cutoff = n_photons
     if cutoff < n_photons:
         raise CapacityError(f"cutoff {cutoff} cannot hold |{n_photons},{n_photons}>")
-    c = np.zeros((cutoff + 1, cutoff + 1))
-    c[n_photons, n_photons] = 1.0
-    return FockCoefficients._adopt(c)
+    return FockCoefficients._entries(cutoff + 1, [n_photons], [n_photons], np.ones(1))
 
 
 def tmsv(
@@ -231,9 +243,9 @@ def tmsv(
     cutoff = _cutoff("tmsv", lambda c: lam2 ** (c + 1), cutoff, truncation_tol, start,
                      lambda c: c + 1)
     lam = math.sqrt(lam2)
-    c = np.zeros((cutoff + 1, cutoff + 1))
-    c[np.diag_indices(cutoff + 1)] = math.sqrt(1.0 - lam2) * lam ** np.arange(cutoff + 1)
-    return FockCoefficients._adopt(c)
+    values = math.sqrt(1.0 - lam2) * lam ** np.arange(cutoff + 1)
+    n = np.flatnonzero(values)  # lam**n is 0 past n = 0 when lam is 0, or when it underflows
+    return FockCoefficients._entries(cutoff + 1, n, n, values[n])
 
 
 def noon(n_photons: int, cutoff: int | None = None) -> FockCoefficients:
@@ -245,9 +257,8 @@ def noon(n_photons: int, cutoff: int | None = None) -> FockCoefficients:
         cutoff = 2 * n_photons
     if cutoff < 2 * n_photons:
         raise CapacityError(f"cutoff {cutoff} cannot hold |{2 * n_photons},0>")
-    c = np.zeros((cutoff + 1, cutoff + 1))
-    c[2 * n_photons, 0] = c[0, 2 * n_photons] = 1.0 / math.sqrt(2.0)
-    return FockCoefficients._adopt(c)
+    return FockCoefficients._entries(cutoff + 1, [0, 2 * n_photons], [2 * n_photons, 0],
+                                     np.full(2, 1.0 / math.sqrt(2.0)))
 
 
 def squeezed_product(
@@ -278,38 +289,26 @@ def squeezed_product(
     return _product("squeezed_product", amplitudes, cutoff, truncation_tol, 16)
 
 
-def _row_blocks(coeffs: np.ndarray):
-    """``(rows, |coeffs[rows]|**2)`` for blocks of ``_ROW_BLOCK`` rows, top down."""
-    for start in range(0, coeffs.shape[0], _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        p = np.abs(coeffs[rows])
-        p *= p
-        yield rows, p
-
-
 def statistics(state: FockCoefficients) -> PhotonStatistics:
     """Mandel Q (mode a), difference-noise sigma and mode correlation J.
 
-    All moments are raw sums over ``|C|**2``, taken a block of rows at a
-    time; for well-truncated states the missing tail mass is below the
-    constructor tolerance.  When a mode has zero number variance, J is
-    reported as its limiting value 1.
+    All moments are raw sums over the nonzero entries of ``|C|**2``; for
+    well-truncated states the missing tail mass is below the constructor
+    tolerance.  When a mode has zero number variance, J is reported as its
+    limiting value 1.
     """
-    idx = np.arange(state.cutoff + 1, dtype=float)
-    pa, pb, cov = np.empty_like(idx), np.zeros_like(idx), 0.0
-    for rows, p in _row_blocks(state.coeffs):
-        pa[rows] = p.sum(axis=1)
-        pb += p.sum(axis=0)
-        cov += float(idx[rows] @ p @ idx)  # sum n m |C|^2 so far
-    mean_a = float(idx @ pa)
-    mean_b = float(idx @ pb)
+    p = np.abs(state.values)
+    p *= p
+    n, m = state.rows, state.cols
+    mean_a = float(n @ p)
+    mean_b = float(m @ p)
     if mean_a <= 0.0 or mean_b <= 0.0:
         raise UndefinedStatisticsError(
             "counting statistics need a nonzero mean photon number in each mode"
         )
-    var_a = max(0.0, float(idx * idx @ pa) - mean_a * mean_a)
-    var_b = max(0.0, float(idx * idx @ pb) - mean_b * mean_b)
-    cov -= mean_a * mean_b
+    var_a = max(0.0, float((n * n) @ p) - mean_a * mean_a)
+    var_b = max(0.0, float((m * m) @ p) - mean_b * mean_b)
+    cov = float((n * m) @ p) - mean_a * mean_b
     q_mandel = var_a / mean_a - 1.0
     sigma = max(0.0, (var_a + var_b - 2.0 * cov) / (mean_a + mean_b))
     if var_a == 0.0 or var_b == 0.0:
@@ -324,14 +323,12 @@ def statistics(state: FockCoefficients) -> PhotonStatistics:
 
 def is_twin_mode(state: FockCoefficients, tol: float = 1e-12) -> bool:
     """Whether ``|C[n, m]|`` is symmetric under mode exchange."""
-    c = state.coeffs
-    for start in range(0, c.shape[0], _ROW_BLOCK):  # no size^2 temporaries
-        rows = slice(start, start + _ROW_BLOCK)
-        gap = np.abs(c[rows])
-        gap -= np.abs(c[:, rows]).T
-        if not np.max(np.abs(gap, out=gap)) <= tol:
-            return False
-    return True
+    keys = state.rows * state.size + state.cols  # ascending: entries are row-major
+    mirrors = state.cols * state.size + state.rows
+    at = np.searchsorted(keys, mirrors)
+    at[np.append(keys, -1)[at] != mirrors] = len(keys)  # no mirror entry: read the 0
+    mags = np.append(np.abs(state.values), 0.0)
+    return bool(np.all(np.abs(mags[:-1] - mags[at]) <= tol))
 
 
 def save_coefficients(state: FockCoefficients, dest) -> None:
@@ -340,10 +337,8 @@ def save_coefficients(state: FockCoefficients, dest) -> None:
     fh = open(dest, "w", encoding="utf-8", newline="") if own else dest
     try:
         fh.write("n,m,re,im\n")
-        c = state.coeffs
-        for n in range(c.shape[0]):
-            for m in range(c.shape[1]):
-                fh.write(f"{n},{m},{float(c[n, m].real)!r},{float(c[n, m].imag)!r}\n")
+        for (n, m), value in np.ndenumerate(state.coeffs):
+            fh.write(f"{n},{m},{float(value.real)!r},{float(value.imag)!r}\n")
     finally:
         if own:
             fh.close()
@@ -375,7 +370,8 @@ def load_coefficients(src) -> FockCoefficients:
     if not rows:
         raise ValueError("no coefficient rows found")
     size = max(map(max, rows)) + 1
-    c = np.zeros((size, size), dtype=complex)
-    for (n, m), (_, amplitude) in rows.items():
-        c[n, m] = amplitude
-    return FockCoefficients._adopt(c if c.imag.any() else c.real.copy())
+    keys = sorted(key for key, (_, amplitude) in rows.items() if amplitude)
+    n, m = np.array(keys, dtype=int).reshape(-1, 2).T
+    values = np.array([rows[key][1] for key in keys], dtype=complex)
+    return FockCoefficients._entries(size, n, m,
+                                     values if values.imag.any() else values.real.copy())

@@ -355,6 +355,18 @@ def test_an_input_error_is_one_line_naming_the_setting(tmp_path, capsys, monkeyp
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["reflectance", "--n-prism", "inf"], "n_prism must be finite"),
+    (["ratio", "--photons", "inf"], "n_photons must be finite, got inf"),
+    (["precision", "--photons", "inf"], "n_photons must be finite, got inf"),
+])
+def test_a_non_finite_input_is_one_error_line(capsys, argv, message):
+    # before: reflectance printed nan in every cell and exited 0, and ratio
+    # and precision ended in an OverflowError traceback from int(inf)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"plasmonq: error: {message}\n")
+
+
 INFLECTION_AT_65_5 = ["inflection", "--theta-min", "65.5", "--theta-max", "65.5",
                       "--theta-steps", "1"]
 

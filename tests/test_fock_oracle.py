@@ -208,38 +208,53 @@ def test_count_moments_match_a_whole_kernel_reduction(size):
     assert np.array_equal(mean, counts) and not np.any(var)
 
 
-def test_state_layer_and_oracle_hold_little_beyond_the_state():
-    """At TMSV N = 48 (size 1117, 20 MB of coefficients): building holds
-    about the state itself, and statistics() and the oracle stream blocks."""
-    eff = ChannelEfficiencies(0.8, 0.9)
-    oracle_measurement(tmsv(1.0), 0.5, eff)  # warm up lazy numpy set-up
-    statistics(tmsv(1.0))
-    is_twin_mode(tmsv(1.0))
+def _peak_mb(run):
+    """``run()`` and its tracemalloc peak in MB above the memory live before it."""
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    result = run()
+    return result, (tracemalloc.get_traced_memory()[1] - base) / 1e6
+
+
+def _traced_peaks(build, eff):
+    """The state, and the peaks of building it and of statistics(), the oracle
+    and is_twin_mode on it."""
+    warm = tmsv(10.0)  # size 242, past the first kernel block: warms up lazy numpy set-up
+    oracle_measurement(warm, 0.5, eff)
+    statistics(warm)
+    is_twin_mode(warm)
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
     try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        state = tmsv(48.0)
-        held = state.coeffs.nbytes
-        build_peak = tracemalloc.get_traced_memory()[1] - before
-        peaks = []
-        for run in (lambda: statistics(state), lambda: oracle_measurement(state, 0.5, eff),
-                    lambda: is_twin_mode(state)):
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            run()
-            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        state, build_peak = _peak_mb(build)
+        peaks = [build_peak] + [
+            _peak_mb(run)[1] for run in (lambda: statistics(state),
+                                         lambda: oracle_measurement(state, 0.5, eff),
+                                         lambda: is_twin_mode(state))]
     finally:
         if not was_tracing:
             tracemalloc.stop()
-    assert state.cutoff + 1 == 1117
-    assert held == 8 * 1117**2  # float64: the state is real
-    assert build_peak < 1.5 * held
-    assert peaks[0] < 0.25 * held, "statistics()"
-    assert peaks[1] < 0.25 * held, "oracle_measurement"
-    assert peaks[2] < 0.25 * held, "is_twin_mode"
+    return state, peaks
+
+
+def test_state_layer_and_oracle_hold_little_beyond_the_state():
+    """At TMSV N = 48 (size 1117, 10 MB as a dense float64 matrix): the state
+    holds its 1117 diagonal entries, and statistics() and the oracle sum over them."""
+    state, (build, stats, oracle, twin) = _traced_peaks(lambda: tmsv(48.0),
+                                                         ChannelEfficiencies(0.8, 0.9))
+    assert state.cutoff + 1 == 1117 and len(state.values) == 1117
+    assert build < 14.9
+    assert stats < 2.49, "statistics()"
+    assert oracle < 2.49, "oracle_measurement"
+    assert twin < 2.49, "is_twin_mode"
+
+
+def test_the_oracle_runs_at_the_cutoff_cap_in_little_memory():
+    """TMSV at the largest auto cutoff, size 4097: 134 MB as a dense matrix."""
+    state, peaks = _traced_peaks(lambda: tmsv(48.0, cutoff=4096), ChannelEfficiencies(0.8, 0.9))
+    assert state.cutoff + 1 == 4097
+    assert max(peaks) < 16.0, peaks
 
 
 @pytest.mark.parametrize(

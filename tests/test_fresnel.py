@@ -485,6 +485,8 @@ def test_inflection_search_rejects_a_step_that_is_not_positive(h):
         dict(n_analyte=0.0),
         dict(thickness_nm=0.0),
         dict(wavelength_nm=-810.0),
+        dict(n_prism=math.inf),
+        dict(n_prism=math.nan),
     ],
 )
 def test_stack_validation(kwargs):

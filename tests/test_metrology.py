@@ -214,6 +214,10 @@ def test_family_statistics_validation():
         family_statistics("twin-fock", 1.5)
     with pytest.raises(ValueError):
         family_statistics("tmsv", 0.0)
+    for family in ("twin-fock", "coherent"):  # int(inf) would raise OverflowError
+        for n in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="n_photons must be finite"):
+                family_statistics(family, n)
 
 
 def test_state_names_are_the_families_and_one_alias():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from plasmonq.quantum_states import (
-    _ROW_BLOCK,
     AmplitudeUnderflowError,
     CapacityError,
     FockCoefficients,
@@ -255,12 +254,11 @@ def test_is_twin_mode_rejects_asymmetric():
     assert not is_twin_mode(FockCoefficients(coeffs))
 
 
-@pytest.mark.parametrize("size", [1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1,
-                                  2 * _ROW_BLOCK + 5])
+@pytest.mark.parametrize("size", [1, 63, 64, 65, 133])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_is_twin_mode_by_blocks_matches_the_whole_matrix(size, dtype):
-    """The blocked comparison gives the boolean of ``max ||C| - |C|.T| <= tol``,
-    wherever in the matrix the largest asymmetry sits."""
+    """The lookup of each entry's mirror gives the boolean of
+    ``max ||C| - |C|.T| <= tol``, wherever in the matrix the largest asymmetry sits."""
     rng = np.random.default_rng(size)
     for n, m in ((0, size - 1), (size - 1, 0), (size // 2, size // 3)):
         mags = rng.random((size, size))
@@ -276,6 +274,60 @@ def test_is_twin_mode_by_blocks_matches_the_whole_matrix(size, dtype):
             for tol in (1e-12, 0.0):
                 expected = bool(np.max(np.abs(mags - mags.T)) <= tol)
                 assert is_twin_mode(state, tol) == expected
+
+
+def test_is_twin_mode_reads_a_missing_mirror_as_zero():
+    coeffs = np.zeros((4, 4))
+    coeffs[3, 1] = 1e-13  # C[1, 3] is not stored
+    coeffs[2, 2] = 0.5
+    state = FockCoefficients(coeffs)
+    assert len(state.values) == 2
+    assert is_twin_mode(state, 1e-12)
+    assert not is_twin_mode(state, 1e-14)
+
+
+def test_the_all_zero_state_is_twin_mode():
+    state = FockCoefficients(np.zeros((3, 3)))
+    assert len(state.values) == 0
+    assert is_twin_mode(state, 0.0)
+
+
+def test_is_twin_mode_compares_magnitudes_of_a_complex_caller_array():
+    coeffs = np.zeros((3, 3), dtype=complex)
+    coeffs[0, 2], coeffs[2, 0] = 0.6j, -0.6
+    coeffs[1, 1] = 0.2 + 0.1j
+    assert is_twin_mode(FockCoefficients(coeffs), 0.0)
+    coeffs[2, 0] = 0.6j * (1.0 + 1e-9)
+    assert not is_twin_mode(FockCoefficients(coeffs))
+
+
+def _loaded_squeezed(tmp_path):
+    path = tmp_path / "state.csv"
+    save_coefficients(squeezed_product(0.5), path)
+    return load_coefficients(path)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda _: coherent_product(1.3),
+        lambda _: coherent_product(0.7 + 0.4j),
+        lambda _: twin_fock(2, cutoff=5),
+        lambda _: tmsv(2.0),
+        lambda _: tmsv(0.0, cutoff=3),
+        lambda _: noon(2),
+        lambda _: squeezed_product(0.5),
+        lambda _: squeezed_product(0.0),
+        lambda _: FockCoefficients(np.array([[0.0, 0.6j], [-0.8, 0.0]])),
+        _loaded_squeezed,
+    ],
+)
+def test_stored_entries_are_the_nonzeros_in_row_major_order(tmp_path, build):
+    """``is_twin_mode`` searches the keys ``row * size + col``, so they must ascend."""
+    state = build(tmp_path)
+    rows, cols = np.nonzero(state.coeffs)
+    assert np.array_equal(state.rows, rows) and np.array_equal(state.cols, cols)
+    assert np.array_equal(state.values, state.coeffs[rows, cols])
 
 
 # ------------------------------------------------------------- error handling
