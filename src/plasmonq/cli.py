@@ -54,8 +54,9 @@ class ConfigError(ValueError):
     """Bad config file, flag combination, or missing input."""
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
-    """The command parser and the common parser whose dests are the config keys."""
+def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser, dict]:
+    """The command parser, the common parser whose dests are the config keys,
+    and their defaults; a parse returns only the options given (``SUPPRESS``)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="flat JSON config file")
     common.add_argument("--out", metavar="PATH", default="-",
@@ -93,29 +94,24 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
                         help="operating-point scan density")
     common.add_argument("--seed", type=int, default=0, help="RNG seed for randomized validation")
 
+    defaults = {action.dest: action.default for action in common._actions}
+    for action in common._actions:
+        action.default = argparse.SUPPRESS
+
     parser = argparse.ArgumentParser(
         prog="plasmonq",
         description="Quantum-enhanced surface-plasmon-resonance sensing calculations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("reflectance", parents=[common],
-                   help="reflectance vs incidence angle, one curve per analyte index")
-    sub.add_parser("index-sweep", parents=[common],
-                   help="reflectance and its index-derivative vs analyte index")
-    sub.add_parser("inflection", parents=[common],
-                   help="steepest-flank analyte index vs incidence angle")
-    sub.add_parser("ratio", parents=[common],
-                   help="quantum-enhancement ratio vs analyte index")
-    sub.add_parser("precision", parents=[common],
-                   help="index precision at the steepest flank vs incidence angle")
-    validate = sub.add_parser("validate", parents=[common],
-                              help="cross-check closed forms against brute-force oracles")
-    validate.add_argument("--inject-fault", action="store_true",
-                          help="negative control: perturb one closed form by 1e-3")
-    return parser, common
+    for name, handler in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=handler.__doc__)
+    sub.choices["validate"].add_argument(
+        "--inject-fault", action="store_true",
+        help="negative control: perturb one closed form by 1e-3")
+    return parser, common, defaults
 
 
-def _read_config(path: str, common: argparse.ArgumentParser) -> dict:
+def _read_config(path: str) -> dict:
     """File values keyed by dest, each converted like its option's argument.
 
     A key is any common option's dest except ``config``; ``n_analyte`` may
@@ -131,7 +127,7 @@ def _read_config(path: str, common: argparse.ArgumentParser) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    actions = {action.dest: action for action in common._actions if action.dest != "config"}
+    actions = {action.dest: action for action in _COMMON._actions if action.dest != "config"}
     values = {}
     for key, raw in doc.items():
         if key not in actions:
@@ -148,17 +144,9 @@ def _read_config(path: str, common: argparse.ArgumentParser) -> dict:
 
 def _parse(argv) -> argparse.Namespace:
     """Parse flags over the config file's values over the parser's defaults."""
-    parser, common = _build_parser()
-    args = parser.parse_args(argv)
-    if args.config:
-        values = _read_config(args.config, common)
-        # an append action would add flags to a list default, so the file's
-        # curves apply only when no --n-analyte flag was given
-        curves = values.pop("n_analyte", None)
-        common.set_defaults(**values)  # the subparsers share these actions
-        args = parser.parse_args(argv)
-        if args.n_analyte is None:
-            args.n_analyte = curves
+    given = vars(_PARSER.parse_args(argv))
+    values = _read_config(given["config"]) if given.get("config") else {}
+    args = argparse.Namespace(**{**_DEFAULTS, **values, **given})
     _validate(args)
     return args
 
@@ -177,8 +165,10 @@ def _validate(args: argparse.Namespace):
         raise ConfigError(f"eta must lie in [0, 1], got {args.eta}")
     if args.grid_points < 3:
         raise ConfigError("grid_points must be at least 3")
-    if args.fd_step <= 0.0:
-        raise ConfigError("fd_step must be positive")
+    if not 0.0 < args.fd_step < math.inf:
+        raise ConfigError(f"fd_step must be positive and finite, got {args.fd_step}")
+    if args.seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {args.seed}")
     if args.state is not None:
         state_family(args.state)
 
@@ -259,6 +249,7 @@ def _write(args: argparse.Namespace, text: str) -> None:
 
 
 def cmd_reflectance(args: argparse.Namespace) -> int:
+    """reflectance vs incidence angle, one curve per analyte index"""
     curves = args.n_analyte if args.n_analyte else (1.39, 1.395)
     thetas = _theta_grid(args)
     sensor = _sensor(args)
@@ -271,6 +262,7 @@ def cmd_reflectance(args: argparse.Namespace) -> int:
 
 
 def cmd_index_sweep(args: argparse.Namespace) -> int:
+    """reflectance and its index-derivative vs analyte index"""
     geom = IncidenceGeometry(args.theta)
     grid = _index_grid(args)
     sensor = _sensor(args)
@@ -282,6 +274,7 @@ def cmd_index_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_inflection(args: argparse.Namespace) -> int:
+    """steepest-flank analyte index vs incidence angle"""
     thetas = _theta_grid(args)
     points = metrology._operating_points(_sensor(args), thetas, _index_range(args),
                                          tol=1e-9, h=args.fd_step,
@@ -293,6 +286,7 @@ def cmd_inflection(args: argparse.Namespace) -> int:
 
 
 def cmd_ratio(args: argparse.Namespace) -> int:
+    """quantum-enhancement ratio vs analyte index"""
     stats = family_statistics("twin-fock" if args.state is None else args.state, args.photons)
     geom = IncidenceGeometry(args.theta)
     pairs = metrology.sweep_ratio(_sensor(args), geom, _index_grid(args), stats, args.eta)
@@ -301,6 +295,7 @@ def cmd_ratio(args: argparse.Namespace) -> int:
 
 
 def cmd_precision(args: argparse.Namespace) -> int:
+    """index precision at the steepest flank vs incidence angle"""
     states = (["coherent", "twin-fock", "tmsv"] if args.state is None
               else [state_family(args.state)])
     thetas = _theta_grid(args)
@@ -315,6 +310,7 @@ def cmd_precision(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    """cross-check closed forms against brute-force oracles"""
     rng = np.random.default_rng(args.seed)
     checks: list[tuple[str, float, float]] = []  # (name, max deviation, tolerance)
 
@@ -424,6 +420,8 @@ _COMMANDS = {
     "precision": cmd_precision,
     "validate": cmd_validate,
 }
+
+_PARSER, _COMMON, _DEFAULTS = _build_parser()
 
 
 def main(argv=None) -> int:

@@ -89,7 +89,9 @@ class FockCoefficients:
 
     def _hold(self, size: int, rows, cols, values: np.ndarray) -> None:
         total = float(np.vdot(values, values).real)
-        if total > 1.0 + 1e-9:
+        if not total <= 1.0 + 1e-9:  # NaN fails too
+            if not np.all(np.isfinite(values)):
+                raise ValueError("coefficients must be finite, got NaN or infinite entries")
             raise ValueError(f"coefficients are over-normalised: sum |C|^2 = {total}")
         for name, arr in (("rows", rows), ("cols", cols), ("values", values)):
             arr.setflags(write=False)
@@ -332,12 +334,19 @@ def is_twin_mode(state: FockCoefficients, tol: float = 1e-12) -> bool:
 
 
 def save_coefficients(state: FockCoefficients, dest) -> None:
-    """Dump the expansion as ``n,m,re,im`` CSV rows (all entries)."""
+    """Dump the expansion as ``n,m,re,im`` CSV rows, one per nonzero entry.
+
+    The ``(cutoff, cutoff)`` row is written even when that entry is 0, so
+    that :func:`load_coefficients` recovers the size.
+    """
+    entries = list(zip(state.rows.tolist(), state.cols.tolist(), state.values.tolist()))
+    if not entries or entries[-1][:2] != (state.cutoff, state.cutoff):
+        entries.append((state.cutoff, state.cutoff, 0.0))  # row-major: it sorts last
     own = isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__")
     fh = open(dest, "w", encoding="utf-8", newline="") if own else dest
     try:
         fh.write("n,m,re,im\n")
-        for (n, m), value in np.ndenumerate(state.coeffs):
+        for n, m, value in entries:
             fh.write(f"{n},{m},{float(value.real)!r},{float(value.imag)!r}\n")
     finally:
         if own:

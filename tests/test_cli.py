@@ -342,6 +342,12 @@ def test_config_value_of_wrong_type_is_rejected(tmp_path, capsys):
     (["--grid-points", "2"], None, "grid_points must be at least 3"),
     (["--fd-step", "0"], None, "fd_step must be positive"),
     (["--dispersion", "absent.csv"], None, "dispersion table not found: absent.csv (also tried"),
+    (["--fd-step", "nan"], None, "fd_step must be positive and finite, got nan"),
+    (["--fd-step", "inf"], None, "fd_step must be positive and finite, got inf"),
+    (["--config", "run.json"], {"fd_step": math.nan}, "fd_step must be positive and finite"),
+    (["--config", "run.json"], {"fd_step": "inf"}, "fd_step must be positive and finite"),
+    (["--seed", "-1"], None, "seed must be a non-negative integer, got -1"),
+    (["--config", "run.json"], {"seed": -1}, "seed must be a non-negative integer, got -1"),
 ])
 def test_an_input_error_is_one_line_naming_the_setting(tmp_path, capsys, monkeypatch,
                                                         argv, doc, message):
@@ -528,3 +534,50 @@ def test_emit_matches_the_per_row_writers(capsys, fmt):
         rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
         _emit(argparse.Namespace(format=fmt, out="-"), columns)
         assert capsys.readouterr().out == reference(list(columns), rows)
+
+
+HELP_LINES = {
+    "reflectance": "reflectance vs incidence angle, one curve per analyte index",
+    "index-sweep": "reflectance and its index-derivative vs analyte index",
+    "inflection": "steepest-flank analyte index vs incidence angle",
+    "ratio": "quantum-enhancement ratio vs analyte index",
+    "precision": "index precision at the steepest flank vs incidence angle",
+    "validate": "cross-check closed forms against brute-force oracles",
+}
+
+
+def test_settings_do_not_leak_between_calls(tmp_path, capsys):
+    index_sweep = ["index-sweep", "--n-steps", "5"]
+    script = ("from plasmonq.cli import main; "
+              f"main({FAST_REFLECTANCE!r}); main({index_sweep!r})")
+    fresh = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                           text=True, check=True).stdout
+    config = write_config(tmp_path, {"theta": 74.0, "n_analyte": [1.36, 1.37]})
+    for argv in (["--config", config], ["--n-analyte", "1.4", "--dispersion", "gold-dl"]):
+        for command in (FAST_REFLECTANCE, index_sweep):
+            assert run_cli(capsys, *command, *argv)[0] == 0
+    outputs = [run_cli(capsys, *command) for command in (FAST_REFLECTANCE, index_sweep)]
+    assert [code for code, _, _ in outputs] == [0, 0]
+    assert "".join(out for _, out, _ in outputs) == fresh
+
+
+def test_help_lists_every_command_with_its_sentence(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one help sentence per line
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert "{" + ",".join(HELP_LINES) + "}" in out
+    for name, sentence in HELP_LINES.items():
+        assert any(line.split() == [name, *sentence.split()] for line in out.splitlines())
+
+
+def test_only_validate_takes_inject_fault(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["validate", "--help"])
+    assert exit_info.value.code == 0
+    assert "--inject-fault" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exit_info:
+        main(["ratio", "--inject-fault"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --inject-fault" in capsys.readouterr().err

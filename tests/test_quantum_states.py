@@ -417,6 +417,18 @@ def test_over_normalized_matrix_rejected():
         FockCoefficients(np.eye(3, dtype=complex))
 
 
+@pytest.mark.parametrize("coeffs", [
+    [[0.5, math.nan], [math.inf, 0.5]],
+    [[math.nan]],
+    [[0.5, 0.0], [0.0, complex(0.0, -math.inf)]],
+])
+def test_non_finite_coefficients_rejected(coeffs):
+    # a NaN total passed the over-normalisation check: statistics() then gave
+    # mean_a = nan with sigma = 0.0 and j_corr = 1.0
+    with pytest.raises(ValueError, match="must be finite, got NaN or infinite"):
+        FockCoefficients(coeffs)
+
+
 def test_non_square_rejected():
     with pytest.raises(ValueError):
         FockCoefficients(np.zeros((2, 3), dtype=complex))
@@ -558,6 +570,41 @@ def test_load_rejects_malformed_rows(tmp_path):
     path.write_text("n,m,re,im\n0,0,1.0\n")
     with pytest.raises(ValueError):
         load_coefficients(path)
+
+
+def test_load_rejects_a_nan_coefficient(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("n,m,re,im\n0,0,0.6,0\n1,1,nan,0\n")
+    with pytest.raises(ValueError, match="must be finite"):
+        load_coefficients(path)
+
+
+def test_save_writes_the_nonzero_entries_and_the_last_one(tmp_path):
+    # (cutoff, cutoff) is written although it is 0, so the size survives
+    state = twin_fock(1, cutoff=5)
+    path = tmp_path / "state.csv"
+    save_coefficients(state, path)
+    assert path.read_text() == "n,m,re,im\n1,1,1.0,0.0\n5,5,0.0,0.0\n"
+    back = load_coefficients(path)
+    assert back.size == 6
+    assert np.array_equal(back.coeffs, state.coeffs)
+
+
+def test_save_of_a_large_diagonal_state_is_one_line_per_entry(tmp_path):
+    state = tmsv(48.0)
+    path = tmp_path / "state.csv"
+    save_coefficients(state, path)
+    assert (state.size, len(state.values)) == (1117, 1117)
+    assert len(path.read_text().splitlines()) == 1 + 1117  # was 1 + 1117**2
+    assert np.array_equal(load_coefficients(path).values, state.values)
+
+
+def test_a_dense_dump_still_loads(tmp_path):
+    path = tmp_path / "state.csv"
+    path.write_text("n,m,re,im\n0,0,0.6,0.0\n0,1,0.0,0.0\n1,0,0.0,0.0\n1,1,0.8,0.0\n")
+    back = load_coefficients(path)
+    assert back.size == 2
+    assert np.array_equal(back.coeffs, [[0.6, 0.0], [0.0, 0.8]])
 
 
 def test_load_rejects_a_negative_index(tmp_path):
