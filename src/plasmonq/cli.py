@@ -104,7 +104,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser, d
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler in _COMMANDS.items():
-        sub.add_parser(name, parents=[common], help=handler.__doc__)
+        sub.add_parser(name, parents=[common], help=handler.help)
     sub.choices["validate"].add_argument(
         "--inject-fault", action="store_true",
         help="negative control: perturb one closed form by 1e-3")
@@ -249,7 +249,6 @@ def _write(args: argparse.Namespace, text: str) -> None:
 
 
 def cmd_reflectance(args: argparse.Namespace) -> int:
-    """reflectance vs incidence angle, one curve per analyte index"""
     curves = args.n_analyte if args.n_analyte else (1.39, 1.395)
     thetas = _theta_grid(args)
     sensor = _sensor(args)
@@ -262,7 +261,6 @@ def cmd_reflectance(args: argparse.Namespace) -> int:
 
 
 def cmd_index_sweep(args: argparse.Namespace) -> int:
-    """reflectance and its index-derivative vs analyte index"""
     geom = IncidenceGeometry(args.theta)
     grid = _index_grid(args)
     sensor = _sensor(args)
@@ -274,7 +272,6 @@ def cmd_index_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_inflection(args: argparse.Namespace) -> int:
-    """steepest-flank analyte index vs incidence angle"""
     thetas = _theta_grid(args)
     points = metrology._operating_points(_sensor(args), thetas, _index_range(args),
                                          tol=1e-9, h=args.fd_step,
@@ -286,7 +283,6 @@ def cmd_inflection(args: argparse.Namespace) -> int:
 
 
 def cmd_ratio(args: argparse.Namespace) -> int:
-    """quantum-enhancement ratio vs analyte index"""
     stats = family_statistics("twin-fock" if args.state is None else args.state, args.photons)
     geom = IncidenceGeometry(args.theta)
     pairs = metrology.sweep_ratio(_sensor(args), geom, _index_grid(args), stats, args.eta)
@@ -295,7 +291,6 @@ def cmd_ratio(args: argparse.Namespace) -> int:
 
 
 def cmd_precision(args: argparse.Namespace) -> int:
-    """index precision at the steepest flank vs incidence angle"""
     states = (["coherent", "twin-fock", "tmsv"] if args.state is None
               else [state_family(args.state)])
     thetas = _theta_grid(args)
@@ -310,7 +305,6 @@ def cmd_precision(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    """cross-check closed forms against brute-force oracles"""
     rng = np.random.default_rng(args.seed)
     checks: list[tuple[str, float, float]] = []  # (name, max deviation, tolerance)
 
@@ -412,13 +406,21 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0 if all(ok) else 1
 
 
+def _helped(handler, sentence: str):
+    handler.help = sentence  # not a docstring, which python -OO strips
+    return handler
+
+
 _COMMANDS = {
-    "reflectance": cmd_reflectance,
-    "index-sweep": cmd_index_sweep,
-    "inflection": cmd_inflection,
-    "ratio": cmd_ratio,
-    "precision": cmd_precision,
-    "validate": cmd_validate,
+    "reflectance": _helped(cmd_reflectance,
+                           "reflectance vs incidence angle, one curve per analyte index"),
+    "index-sweep": _helped(cmd_index_sweep,
+                           "reflectance and its index-derivative vs analyte index"),
+    "inflection": _helped(cmd_inflection, "steepest-flank analyte index vs incidence angle"),
+    "ratio": _helped(cmd_ratio, "quantum-enhancement ratio vs analyte index"),
+    "precision": _helped(cmd_precision,
+                         "index precision at the steepest flank vs incidence angle"),
+    "validate": _helped(cmd_validate, "cross-check closed forms against brute-force oracles"),
 }
 
 _PARSER, _COMMON, _DEFAULTS = _build_parser()

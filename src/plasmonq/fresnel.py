@@ -86,6 +86,10 @@ class Sensor:
             raise ValueError("thickness_nm must be positive")
         if not self.wavelength_nm > 0.0:
             raise ValueError("wavelength_nm must be positive")
+        k_prism = 2.0 * math.pi / self.wavelength_nm * self.n_prism
+        if not (math.isfinite(self.n_prism * self.n_prism) and math.isfinite(k_prism * k_prism)):
+            raise ValueError(f"n_prism={self.n_prism} at wavelength_nm={self.wavelength_nm} "
+                             "overflows n_prism**2 or (2 pi n_prism / wavelength_nm)**2")
         # Resolve the film permittivity once; the wavelength is fixed.
         method = getattr(self.metal, "permittivity", None)
         if isinstance(self.metal, (int, float, complex)):
@@ -174,30 +178,42 @@ def interface_reflection(
     return (a - b) / den
 
 
-def _rsp(eps1, eps2, eps3, thickness_nm, k0, k_x):
-    """Airy three-layer amplitude with pre-resolved permittivities.
-
-    Broadcasts over arrays of ``eps3`` and ``k_x``; scalar inputs give a
-    numpy scalar.
-    """
-    kk = k0 * k0
-    kx2 = k_x * k_x
-    k1z = _decaying_sqrt(eps1 * kk - kx2)
+def _film_terms(eps1, eps2, thickness_nm, k0, k_x):
+    """The terms of :func:`_rsp` that depend on the angle only, for :func:`_analyte_rsp`."""
+    kk, kx2 = k0 * k0, k_x * k_x
     k2z = _decaying_sqrt(eps2 * kk - kx2)
+    r12 = interface_reflection(eps1, eps2, _decaying_sqrt(eps1 * kk - kx2), k2z, pair="1|2")
+    return kk, kx2, eps2, k2z, r12, np.exp(2j * k2z * thickness_nm)
+
+
+def _analyte_rsp(film, eps3):
+    """:func:`_rsp` from its :func:`_film_terms`, at analyte permittivities ``eps3``."""
+    kk, kx2, eps2, k2z, r12, ph = film
     k3z = _decaying_sqrt(eps3 * kk - kx2)
-    r12 = interface_reflection(eps1, eps2, k1z, k2z, pair="1|2")
     r23 = interface_reflection(eps2, eps3, k2z, k3z, pair="2|3")
-    ph = np.exp(2j * k2z * thickness_nm)
     den = ph * r23 * r12 + 1.0
     if np.count_nonzero(den == 0):
         raise FresnelSingularityError("vanishing composite denominator for stack 1|2|3")
     return (ph * r23 + r12) / den
 
 
+def _rsp(eps1, eps2, eps3, thickness_nm, k0, k_x):
+    """Airy three-layer amplitude with pre-resolved permittivities; broadcasts
+    over arrays of ``eps3`` and ``k_x``, and scalar inputs give a numpy scalar."""
+    return _analyte_rsp(_film_terms(eps1, eps2, thickness_nm, k0, k_x), eps3)
+
+
 def _tir_reflectance(sensor: Sensor, theta_deg: float, n_analyte):
     """Reflectance ``|r_sp|**2`` at one angle over an array of analyte
-    indices, in real arithmetic; every index must lie under total internal
-    reflection, ``n_analyte < n_prism sin(theta)``.
+    indices, all under total internal reflection; see :func:`_tir_on_grid`."""
+    k0 = 2.0 * math.pi / sensor.wavelength_nm
+    n2 = np.square(n_analyte)
+    return _tir_on_grid(sensor, theta_deg, n2, n2 * (k0 * k0))
+
+
+def _tir_on_grid(sensor: Sensor, theta_deg: float, n2, n2kk):
+    """:func:`_tir_reflectance` over analyte indices ``n`` given as ``n**2`` and
+    ``n**2 k0**2``, each under total internal reflection: ``n < n_prism sin(theta)``.
 
     There ``k3z = i kappa`` with ``kappa = sqrt(k_x**2 - n**2 k0**2)``, so with
     ``beta = kappa / n**2`` the Airy form is ``(P + i beta Q) / (S + i beta T)``:
@@ -217,8 +233,7 @@ def _tir_reflectance(sensor: Sensor, theta_deg: float, n_analyte):
     a2 = k2z / eps2
     p, q = a2 * (ph + r12), r12 - ph
     s, t = a2 * (1.0 + ph * r12), 1.0 - ph * r12
-    n2 = np.square(n_analyte)
-    beta = np.sqrt(kx2 - n2 * kk) / n2
+    beta = np.sqrt(kx2 - n2kk) / n2
     den = (s.real - beta * t.imag) ** 2 + (s.imag + beta * t.real) ** 2
     if np.count_nonzero(den == 0):
         raise FresnelSingularityError("vanishing composite denominator for stack 1|2|3")
@@ -403,15 +418,20 @@ def inflection_index(
     return n_inf
 
 
+def _steepness(film, n, h: float):
+    """``-|sensitivity(stack, geom, n, h)|`` from :func:`_film_terms`; ``n +- h`` unchecked."""
+    pair = np.stack([n + h, n - h])
+    refl = abs(_analyte_rsp(film, pair * pair)) ** 2
+    return -abs((refl[0] - refl[1]) / (2.0 * h))
+
+
 def _steepest_flank(stack: Sensor, thetas, n_range: tuple[float, float],
                     tol: float, h: float, grid_points: int) -> list:
     """:func:`inflection_index` at each angle of ``thetas``: its ``n_inf``, or
     the :class:`NoInteriorExtremumError` raised there.  Each angle's grid is
-    scanned in real arithmetic by :func:`_tir_reflectance` (by the kernel if
+    scanned in real arithmetic by :func:`_tir_on_grid` (by the kernel if
     ``h`` could carry ``n + h`` out of total internal reflection); the golden
-    sections that refine the brackets run in lockstep on :func:`sensitivity`,
-    i.e. on the kernel, so the scan only picks each bracket.
-    """
+    sections run in lockstep on the kernel, by :func:`_steepness`."""
     if h <= 0.0:
         raise ValueError("finite-difference step h must be positive")
     lo, hi = n_range
@@ -419,16 +439,21 @@ def _steepest_flank(stack: Sensor, thetas, n_range: tuple[float, float],
         raise ValueError(f"n_range {n_range} must be ordered inside (h, n_prism - h)")
     if grid_points < 3:
         raise ValueError("grid_points must be at least 3")
+    geom = IncidenceGeometry(thetas)  # checks every angle, once
+    k0 = 2.0 * math.pi / stack.wavelength_nm
+    latest = [None]  # the latest top, then its (n +- h)**2 and their product with k0**2
 
-    def flank(theta, n):  # -|dR/dn| by sensitivity()'s central difference, at one angle
+    def flank(theta, top, n):  # -|dR/dn| by sensitivity()'s central difference, at one angle
         if h > _TIR_MARGIN / 2:  # n + h may then cross into the propagating regime
             return -abs(sensitivity(stack, IncidenceGeometry(theta), n, h))
-        refl = _tir_reflectance(stack, theta, np.stack([n + h, n - h]))
+        if latest[0] != top:  # most angles share top = hi
+            n2 = np.square(np.stack([n + h, n - h]))
+            latest[:] = top, n2, n2 * (k0 * k0)
+        refl = _tir_on_grid(stack, theta, *latest[1:])
         return -abs((refl[0] - refl[1]) / (2.0 * h))
 
     found = []  # per angle: its bracket, then its n_inf, or why it is skipped
     for theta in thetas:
-        IncidenceGeometry(theta)  # checks the angle
         n_critical = stack.n_prism * math.sin(math.radians(theta))
         top = min(hi, n_critical - _TIR_MARGIN)
         try:
@@ -437,14 +462,16 @@ def _steepest_flank(stack: Sensor, thetas, n_range: tuple[float, float],
                     f"no total-internal-reflection window above n={lo} at "
                     f"theta={theta} deg (crossover at {n_critical:.6f})"
                 )
-            found.append(_grid_bracket(lambda n: flank(theta, n), lo, top, grid_points,
+            found.append(_grid_bracket(lambda n: flank(theta, top, n), lo, top, grid_points,
                                        "steepest flank at n"))
         except NoInteriorExtremumError as exc:
             found.append(exc)
     rows = [i for i, item in enumerate(found) if isinstance(item, tuple)]
-    geom = IncidenceGeometry([thetas[i] for i in rows])
     a, b = np.reshape([found[i] for i in rows], (-1, 2)).T
-    n_inf = _golden_minimize(lambda n: -abs(sensitivity(stack, geom, n, h)), a, b, tol)
+    film = _film_terms(stack.eps_prism, stack.metal_permittivity, stack.thickness_nm, k0,
+                       tangential_wavevector(stack, geom)[rows])
+    # each bracket lies in [lo, top], so every n +- h is inside (0, n_prism)
+    n_inf = _golden_minimize(lambda n: _steepness(film, n, h), a, b, tol)
     for i, n in zip(rows, n_inf.tolist()):
         found[i] = n
     return found

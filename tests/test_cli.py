@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -570,6 +571,30 @@ def test_help_lists_every_command_with_its_sentence(capsys, monkeypatch):
     assert "{" + ",".join(HELP_LINES) + "}" in out
     for name, sentence in HELP_LINES.items():
         assert any(line.split() == [name, *sentence.split()] for line in out.splitlines())
+
+
+def test_help_sentences_survive_stripped_docstrings():
+    # python -OO drops every docstring; the help sentences must not be ones
+    result = subprocess.run([sys.executable, "-OO", "-m", "plasmonq", "--help"],
+                            capture_output=True, text=True, check=True,
+                            env={**os.environ, "COLUMNS": "200"})
+    lines = result.stdout.splitlines()
+    for name, sentence in HELP_LINES.items():
+        assert any(line.split() == [name, *sentence.split()] for line in lines)
+
+
+@pytest.mark.parametrize("command", list(HELP_LINES))
+def test_an_overflowing_prism_wave_vector_is_one_error_line(capsys, command):
+    # before: inflection and precision at --n-prism 1e300 ended in an
+    # OverflowError traceback, and the other commands printed nan rows at 1e160
+    for setting in (["--n-prism", "1e300"], ["--n-prism", "1e160"],
+                    ["--wavelength", "1e-310"]):
+        code, out, err = run_cli(capsys, command, *setting, "--theta-steps", "3",
+                                 "--n-steps", "3")
+        assert (code, out) == (2, "")
+        assert err.startswith("plasmonq: error: n_prism=")
+        assert "overflows n_prism**2 or (2 pi n_prism / wavelength_nm)**2" in err
+        assert err.count("\n") == 1
 
 
 def test_only_validate_takes_inject_fault(capsys):

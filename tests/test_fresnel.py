@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -487,6 +488,9 @@ def test_inflection_search_rejects_a_step_that_is_not_positive(h):
         dict(wavelength_nm=-810.0),
         dict(n_prism=math.inf),
         dict(n_prism=math.nan),
+        dict(n_prism=1.5e154),  # n_prism**2 overflows
+        dict(n_prism=1e160),  # so does (2 pi n_prism / wavelength_nm)**2
+        dict(wavelength_nm=1e-310),  # (2 pi n_prism / wavelength_nm)**2 alone overflows
     ],
 )
 def test_stack_validation(kwargs):
@@ -509,3 +513,21 @@ def test_geometry_validation(theta):
 def test_a_metal_needs_a_number_or_a_permittivity_method(metal):
     with pytest.raises(TypeError, match="cannot interpret"):
         Sensor(n_prism=PRISM, metal=metal, thickness_nm=50.0, wavelength_nm=WAVELENGTH)
+
+
+def test_the_scan_holds_one_index_grid_at_a_time():
+    # below 83 deg every crossover lies under n = 1.50, so each of the 361
+    # angles scans up to its own top; keeping every angle's grid would hold
+    # about 35 MB
+    stack = make_stack()
+    thetas = np.linspace(65.5, 83.0, 361).tolist()
+    tops = {PRISM * math.sin(math.radians(theta)) - _TIR_MARGIN for theta in thetas}
+    assert len(tops) == 361 and max(tops) < 1.50
+    tracemalloc.start()
+    try:
+        found = _steepest_flank(stack, thetas, (1.30, 1.50), 1e-9, 1e-6, 2001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(isinstance(n_inf, float) for n_inf in found) > 300
+    assert peak < 1_000_000

@@ -1,12 +1,16 @@
 """Property tests of the broadcasting Airy kernel on random passive stacks,
 and of the real closed form that the steep-flank scan uses in its place."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from plasmonq.fresnel import (_TIR_MARGIN, Sensor, _rsp, _tir_reflectance, reflection,
+from plasmonq.fresnel import (_TIR_MARGIN, IncidenceGeometry, Sensor, _analyte_rsp,
+                              _decaying_sqrt, _film_terms, _rsp, _steepness,
+                              _tir_reflectance, interface_reflection, reflection,
+                              sensitivity, tangential_wavevector,
                               transfer_matrix_reflection)
 from plasmonq.materials import GOLD_DRUDE_LORENTZ, gold_dispersion
 
@@ -79,3 +83,85 @@ def test_tir_closed_form_matches_the_kernel_reflectance(
     closed = _tir_reflectance(sensor, theta_deg, n)
     assert closed.shape == n.shape
     assert np.max(np.abs(closed - abs(reflection(sensor, theta_deg, n)) ** 2)) <= 1e-12
+
+
+# The sensors of the split-kernel properties: both gold sources and a film
+# with gain (Im eps < 0), which puts the principal root k2z on the growing
+# branch.
+sensors = st.builds(
+    Sensor,
+    n_prism=st.floats(1.45, 1.8),
+    metal=st.sampled_from([gold_dispersion(), GOLD_DRUDE_LORENTZ, complex(-11.7, -1.2)]),
+    thickness_nm=st.floats(1.0, 80.0),
+    wavelength_nm=st.floats(600.0, 1000.0),
+)
+
+
+def _unsplit_rsp(eps1, eps2, eps3, thickness_nm, k0, k_x):
+    """The Airy kernel as one function, before its split into film terms
+    and an analyte part: the reference for the split's bits."""
+    kk = k0 * k0
+    kx2 = k_x * k_x
+    k1z = _decaying_sqrt(eps1 * kk - kx2)
+    k2z = _decaying_sqrt(eps2 * kk - kx2)
+    k3z = _decaying_sqrt(eps3 * kk - kx2)
+    r12 = interface_reflection(eps1, eps2, k1z, k2z, pair="1|2")
+    r23 = interface_reflection(eps2, eps3, k2z, k3z, pair="2|3")
+    ph = np.exp(2j * k2z * thickness_nm)
+    return (ph * r23 + r12) / (ph * r23 * r12 + 1.0)
+
+
+def _unsplit_tir_reflectance(sensor, theta_deg, n_analyte):
+    """The closed form as one function, before its grid terms were split off."""
+    k0 = 2.0 * math.pi / sensor.wavelength_nm
+    kk = k0 * k0
+    kx2 = (k0 * sensor.n_prism * math.sin(math.radians(theta_deg))) ** 2
+    eps1, eps2 = sensor.eps_prism, sensor.metal_permittivity
+    k1z = k0 * sensor.n_prism * math.cos(math.radians(theta_deg))
+    k2z = cmath.sqrt(eps2 * kk - kx2)
+    r12 = complex(interface_reflection(eps1, eps2, k1z, k2z, pair="1|2"))
+    ph = cmath.exp(2j * k2z * sensor.thickness_nm)
+    a2 = k2z / eps2
+    p, q = a2 * (ph + r12), r12 - ph
+    s, t = a2 * (1.0 + ph * r12), 1.0 - ph * r12
+    n2 = np.square(n_analyte)
+    beta = np.sqrt(kx2 - n2 * kk) / n2
+    den = (s.real - beta * t.imag) ** 2 + (s.imag + beta * t.real) ** 2
+    return ((p.real - beta * q.imag) ** 2 + (p.imag + beta * q.real) ** 2) / den
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(sensor=sensors, theta_deg=st.floats(35.0, 89.5), spread=st.floats(0.0, 20.0),
+       fraction=st.floats(0.001, 0.999))
+def test_the_split_kernel_has_the_bits_of_the_whole_one(sensor, theta_deg, spread, fraction):
+    """Film terms plus the analyte part are the Airy kernel bit for bit, over
+    a few angles against a two-row grid of indices as the flank search asks
+    for them, and so is the closed form with its grid terms split off."""
+    thetas = np.linspace(theta_deg, min(theta_deg + spread, 89.5), 5)
+    eps1, eps2 = sensor.eps_prism, sensor.metal_permittivity
+    k0 = 2.0 * math.pi / sensor.wavelength_nm
+    k_x = tangential_wavevector(sensor, IncidenceGeometry(thetas))
+    n = fraction * sensor.n_prism * np.stack([np.sin(np.radians(thetas)), np.ones(5)])
+    args = (eps1, eps2, n * n, sensor.thickness_nm, k0, k_x)
+    split = _analyte_rsp(_film_terms(eps1, eps2, sensor.thickness_nm, k0, k_x), n * n)
+    assert np.array_equal(split, _rsp(*args))
+    assert np.array_equal(split, _unsplit_rsp(*args))
+    top = sensor.n_prism * math.sin(math.radians(theta_deg)) - _TIR_MARGIN
+    grid = np.linspace(fraction * top, top, 41)
+    assert np.array_equal(_tir_reflectance(sensor, theta_deg, grid),
+                          _unsplit_tir_reflectance(sensor, theta_deg, grid))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(sensor=sensors, theta_deg=st.floats(35.0, 89.5), spread=st.floats(0.0, 20.0),
+       h=st.floats(1e-9, _TIR_MARGIN / 2),
+       fractions=st.lists(st.floats(0.01, 0.99), min_size=7, max_size=7))
+def test_the_golden_section_objective_is_minus_the_sensitivity(sensor, theta_deg, spread, h,
+                                                                fractions):
+    """The lockstep golden section's objective, built from the angles' film
+    terms, is ``-|sensitivity|`` bit for bit at every angle."""
+    geom = IncidenceGeometry(np.linspace(theta_deg, min(theta_deg + spread, 89.5), 7))
+    film = _film_terms(sensor.eps_prism, sensor.metal_permittivity, sensor.thickness_nm,
+                       2.0 * math.pi / sensor.wavelength_nm, tangential_wavevector(sensor, geom))
+    n = h + np.array(fractions) * (sensor.n_prism - 2.0 * h)
+    assert np.array_equal(_steepness(film, n, h), -abs(sensitivity(sensor, geom, n, h)))
