@@ -22,20 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrology import ChannelEfficiencies, DivergenceError, MeasurementStats
-from .quantum_states import FockCoefficients, coherent_product
+from .metrology import ChannelEfficiencies, MeasurementStats
+from .quantum_states import FockCoefficients
 
 __all__ = [
     "JointNumberDistribution",
     "joint_distribution",
     "binomial_thinning",
     "oracle_measurement",
-    "oracle_ratio",
 ]
-
-# Tighter than the constructor default so the coherent reference inside
-# oracle_ratio never limits a 1e-10 comparison.
-_REFERENCE_TRUNCATION_TOL = 3e-14
 
 
 @dataclass(frozen=True)
@@ -204,27 +199,3 @@ def oracle_measurement(
         + mean * mean * (1.0 - float(p_a.sum()))
     )
     return MeasurementStats(mean=mean, std=math.sqrt(max(0.0, variance)))
-
-
-def oracle_ratio(
-    state: FockCoefficients,
-    classical_reference_n: float,
-    r_abs: float,
-    eta: float,
-) -> float:
-    """Noise of a coherent reference over the state's noise, both brute-force.
-
-    The reference is a coherent product with per-mode mean
-    ``classical_reference_n`` (normally the state's own per-mode mean),
-    pushed through the same loss channels.
-    """
-    eff = ChannelEfficiencies(eta, eta)
-    state_std = oracle_measurement(state, r_abs, eff).std
-    if state_std == 0.0:
-        raise DivergenceError(
-            "state noise vanishes at this operating point; ratio diverges"
-        )
-    reference = coherent_product(
-        math.sqrt(classical_reference_n), truncation_tol=_REFERENCE_TRUNCATION_TOL
-    )
-    return oracle_measurement(reference, r_abs, eff).std / state_std

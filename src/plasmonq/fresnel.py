@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,7 +247,8 @@ def reflection(sensor: Sensor, theta_deg, n_analyte):
 
     Angles and indices broadcast against each other (e.g. ``thetas[:, None]``
     against a row of indices); scalar inputs give a numpy scalar.  Every
-    angle must lie in (0, 90) and every index in ``(0, n_prism)``.
+    angle must lie in (0, 90) and every index in ``(0, n_prism)``, with a
+    normal square (below about 1.5e-154 the kernel's ``k_z / eps`` overflows).
     """
     k_x = tangential_wavevector(sensor, IncidenceGeometry(theta_deg))
     n = np.asarray(n_analyte, dtype=float)
@@ -255,6 +257,9 @@ def reflection(sensor: Sensor, theta_deg, n_analyte):
         raise ValueError(
             f"n_analyte={outside[0]} must lie in (0, n_prism={sensor.n_prism})"
         )
+    tiny = n[n * n < sys.float_info.min]
+    if tiny.size:
+        raise ValueError(f"n_analyte={tiny[0]} is too small: its square underflows")
     return _rsp(sensor.eps_prism, sensor.metal_permittivity, n * n,
                 sensor.thickness_nm, 2.0 * math.pi / sensor.wavelength_nm, k_x)
 

@@ -91,18 +91,18 @@ class PrecisionResult:
     noise: float
 
 
-def signal_mean(r_abs: float, eff: ChannelEfficiencies, n_photons: float) -> float:
-    """Mean photon-number difference, ``(eta_b^2 - |r|^2 eta_a^2) N``."""
-    return (eff.eta_b**2 - r_abs**2 * eff.eta_a**2) * n_photons
+def signal_mean(r_abs, eff: ChannelEfficiencies, n_photons: float):
+    """Mean photon-number difference, ``(eta_b^2 - |r|^2 eta_a^2) N``, over any ``r_abs``."""
+    return (eff.eta_b * eff.eta_b - r_abs * r_abs * (eff.eta_a * eff.eta_a)) * n_photons
 
 
 def signal_std(
-    r_abs: float,
+    r_abs,
     eff: ChannelEfficiencies,
     n_photons: float,
     q_mandel: float,
     sigma: float,
-) -> float:
+):
     """Standard deviation of the photon-number difference.
 
     Closed form in the input statistics,
@@ -111,20 +111,21 @@ def signal_std(
     + eta_b^2 + |r|^2 eta_a^2 (1 - 2 eta_b^2)]^(1/2)``;
 
     it agrees exactly with pushing the state through two binomial loss
-    channels (see :mod:`plasmonq.fock_oracle`).  Rounding-level negative
-    radicands are clamped to zero; genuinely negative ones (unphysical
-    Q/sigma combinations) raise.
+    channels (see :mod:`plasmonq.fock_oracle`).  Broadcasts over ``r_abs``;
+    a scalar gives a float.  Rounding-level negative radicands are clamped to
+    zero; genuinely negative ones (unphysical Q/sigma) raise, naming the first.
     """
-    ta = r_abs**2 * eff.eta_a**2
-    tb = eff.eta_b**2
-    radicand = (tb - ta) ** 2 * q_mandel + 2.0 * ta * tb * sigma + tb + ta * (1.0 - 2.0 * tb)
-    if radicand < 0.0:
-        if radicand < -1e-12:
-            raise MetrologyDomainError(
-                f"variance came out negative ({radicand}) for Q={q_mandel}, sigma={sigma}"
-            )
-        radicand = 0.0
-    return math.sqrt(n_photons) * math.sqrt(radicand)
+    ta = r_abs * r_abs * (eff.eta_a * eff.eta_a)  # products, as in _ratio_terms
+    tb = eff.eta_b * eff.eta_b
+    gap = tb - ta
+    radicand = gap * gap * q_mandel + 2.0 * ta * tb * sigma + tb + ta * (1.0 - 2.0 * tb)
+    negative = np.asarray(radicand)[radicand < -1e-12]
+    if negative.size:
+        raise MetrologyDomainError(
+            f"variance came out negative ({negative[0]}) for Q={q_mandel}, sigma={sigma}"
+        )
+    std = math.sqrt(n_photons) * np.sqrt(np.maximum(radicand, 0.0))
+    return std if std.ndim else float(std)
 
 
 def ratio(r_abs: float, eta: float, q_mandel: float, sigma: float) -> float:
@@ -247,21 +248,22 @@ def precision(
     if h <= 0.0:
         raise ValueError("finite-difference step h must be positive")
     r_abs = abs(reflection(stack, geom.theta_deg, [n_analyte - h, n_analyte, n_analyte + h]))
-    return _precision_at(*r_abs.tolist(), n_analyte, state_stats, eff, h)
+    return PrecisionResult(*map(float, _precision_at(*r_abs, n_analyte, state_stats, eff, h)))
 
 
-def _precision_at(r_lo: float, r_mid: float, r_hi: float, n_analyte: float,
-                  state_stats: PhotonStatistics, eff: ChannelEfficiencies,
-                  h: float) -> PrecisionResult:
-    """:func:`precision` from ``|r_sp|`` at ``n_analyte - h, n_analyte, n_analyte + h``."""
+def _precision_at(r_lo, r_mid, r_hi, n_analyte, state_stats: PhotonStatistics,
+                  eff: ChannelEfficiencies, h: float):
+    """``(delta_n, slope, noise)`` of :func:`precision` from ``|r_sp|`` at
+    ``n_analyte - h, n_analyte, n_analyte + h``; the arguments broadcast."""
     n_photons = state_stats.mean_a
     slope = (signal_mean(r_hi, eff, n_photons) - signal_mean(r_lo, eff, n_photons)) / (2.0 * h)
-    if slope == 0.0:
+    stationary = np.asarray(n_analyte)[slope == 0.0]
+    if stationary.size:
         raise DegenerateOperatingPointError(
-            f"mean signal is stationary at n_analyte={n_analyte}; no index information"
+            f"mean signal is stationary at n_analyte={stationary[0]}; no index information"
         )
     noise = signal_std(r_mid, eff, n_photons, state_stats.q_mandel, state_stats.sigma)
-    return PrecisionResult(delta_n=noise / abs(slope), signal_slope=slope, noise=noise)
+    return noise / abs(slope), slope, noise
 
 
 def sweep_ratio(
@@ -337,24 +339,16 @@ def sweep_precision_vs_angle(
             resolved.append((str(label), stats))
     eff = ChannelEfficiencies(eta, eta)
     points = _operating_points(stack, theta_grid, n_range, tol, h, grid_points)
-    thetas = [theta for theta, _ in points]
-    n_infs = [n_inf for _, n_inf in points]
-    r_abs = abs(reflection(stack, thetas, [[n - h for n in n_infs], n_infs,
-                                           [n + h for n in n_infs]]))
-    rows: list[dict] = []
-    for theta, n_inf, r in zip(thetas, n_infs, r_abs.T.tolist()):
-        for label, stats in resolved:
-            result = _precision_at(*r, n_inf, stats, eff, h)
-            rows.append(
-                {
-                    "theta_deg": theta,
-                    "n_inf": n_inf,
-                    "state": label,
-                    "N": stats.mean_a,
-                    "eta": eta,
-                    "delta_n": result.delta_n,
-                    "slope": result.signal_slope,
-                    "noise": result.noise,
-                }
-            )
-    return rows
+    n_infs = np.array([n_inf for _, n_inf in points])
+    r_abs = abs(reflection(stack, [theta for theta, _ in points],
+                           [n_infs - h, n_infs, n_infs + h]))
+    columns = []  # one _precision_at call per state, over all angles
+    for label, stats in resolved:
+        delta_n, slope, noise = _precision_at(*r_abs, n_infs, stats, eff, h)
+        columns.append((label, stats.mean_a, delta_n.tolist(), slope.tolist(), noise.tolist()))
+    return [
+        {"theta_deg": theta, "n_inf": n_inf, "state": label, "N": n, "eta": eta,
+         "delta_n": delta_n[i], "slope": slope[i], "noise": noise[i]}
+        for i, (theta, n_inf) in enumerate(points)
+        for label, n, delta_n, slope, noise in columns
+    ]

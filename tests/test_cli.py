@@ -218,6 +218,19 @@ def test_unphysical_analyte_is_an_input_error(capsys):
     assert "n_prism" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["reflectance", "--n-analyte", "1e-300"],
+    ["ratio", "--n-min", "1e-300"],
+    ["validate", "--n-min", "1e-300"],
+])
+def test_an_index_whose_square_underflows_is_one_error_line(capsys, argv):
+    # before: NaN reflectances with exit 0 (reflectance, ratio) or a
+    # passivity FAIL with exit 1 (validate)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "plasmonq: error: n_analyte=1e-300 is too small: its square underflows\n"
+
+
 @pytest.mark.parametrize("command", ["index-sweep", "ratio", "precision"])
 def test_an_index_range_past_the_prism_names_the_given_range(capsys, command):
     # 1.5665 and 1.55 are the midpoints of the grid and search ranges: the

@@ -14,7 +14,6 @@ from plasmonq.fock_oracle import (
     binomial_thinning,
     joint_distribution,
     oracle_measurement,
-    oracle_ratio,
 )
 from plasmonq.metrology import (
     ChannelEfficiencies,
@@ -33,6 +32,8 @@ from plasmonq.quantum_states import (
     tmsv,
     twin_fock,
 )
+
+from fock_reference import oracle_ratio
 
 
 def random_distribution(rng, size=10):

@@ -152,6 +152,15 @@ def test_reflection_checks_every_angle_and_index():
         reflection(sensor, 73.0, [1.38, PRISM])
 
 
+def test_reflection_rejects_an_index_whose_square_is_not_normal():
+    """Below ~1.5e-154 the square of the index is subnormal or 0 and the
+    kernel's ``k_z / eps`` overflows to NaN, so such an index is refused."""
+    sensor = make_stack()
+    assert np.all(np.isfinite(reflection(sensor, [40.0, 73.0, 89.0], 1.5e-154)))
+    with pytest.raises(ValueError, match=r"n_analyte=1e-155 is too small"):
+        reflection(sensor, 73.0, [1.38, 1e-155])
+
+
 def test_transfer_matrix_agrees_with_recursive_form():
     k0 = 2.0 * math.pi / WAVELENGTH
     rng = np.random.default_rng(7)

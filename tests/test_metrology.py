@@ -6,6 +6,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+from plasmonq import metrology
 from plasmonq.fresnel import (IncidenceGeometry, KretschmannStack, inflection_index, reflection,
                               sensitivity)
 from plasmonq.materials import gold_dispersion
@@ -407,13 +408,28 @@ def test_sweep_precision_skips_angles_without_interior_flank():
     assert [row["theta_deg"] for row in rows] == [73.0]
 
 
-def test_sweep_rows_equal_precision_at_their_operating_points():
+def test_sweep_rows_equal_precision_at_their_operating_points(monkeypatch):
+    """Every family at the 361 default angles of ``plasmonq precision``: the
+    sweep evaluates each state's rows in one call, and each row equals a
+    scalar :func:`precision` call bit for bit."""
     stack = make_stack()
     eta, n_photons = 0.9, 2.0
-    rows = sweep_precision_vs_angle(stack, [68.0, 70.0, 73.0, 76.0, 79.0],
-                                    ["coherent", "twin-fock", "tmsv"],
+    thetas = np.linspace(65.5, 83.5, 361).tolist()
+    calls = []
+    precision_at = metrology._precision_at
+
+    def counted(*args):
+        calls.append(args)
+        return precision_at(*args)
+
+    monkeypatch.setattr(metrology, "_precision_at", counted)
+    rows = sweep_precision_vs_angle(stack, thetas, STATE_FAMILIES,
                                     n_photons=n_photons, eta=eta)
-    assert len(rows) == 15
+    assert len(calls) == len(STATE_FAMILIES)
+    monkeypatch.undo()
+    assert len(rows) == len(thetas) * len(STATE_FAMILIES)
+    assert [(row["theta_deg"], row["state"]) for row in rows] == [
+        (theta, family) for theta in thetas for family in STATE_FAMILIES]
     for row in rows:
         result = precision(stack, IncidenceGeometry(row["theta_deg"]), row["n_inf"],
                            family_statistics(row["state"], n_photons),
