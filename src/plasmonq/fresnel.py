@@ -123,6 +123,8 @@ class KretschmannStack(Sensor):
         object.__setattr__(self, "n_analyte", n_analyte)
         if not 0.0 < n_analyte < n_prism:
             raise ValueError(f"n_analyte={n_analyte} must lie in (0, n_prism={n_prism})")
+        if n_analyte * n_analyte < sys.float_info.min:
+            raise ValueError(f"n_analyte={n_analyte} is too small: its square underflows")
 
     @property
     def eps_analyte(self) -> complex:
@@ -204,24 +206,15 @@ def _rsp(eps1, eps2, eps3, thickness_nm, k0, k_x):
     return _analyte_rsp(_film_terms(eps1, eps2, thickness_nm, k0, k_x), eps3)
 
 
-def _tir_reflectance(sensor: Sensor, theta_deg: float, n_analyte):
-    """Reflectance ``|r_sp|**2`` at one angle over an array of analyte
-    indices, all under total internal reflection; see :func:`_tir_on_grid`."""
-    k0 = 2.0 * math.pi / sensor.wavelength_nm
-    n2 = np.square(n_analyte)
-    return _tir_on_grid(sensor, theta_deg, n2, n2 * (k0 * k0))
+def _tir_terms(sensor: Sensor, theta_deg: float):
+    """``k0**2``, ``k_x**2`` and the complex ``P, Q, S, T`` of one angle, which
+    give the closed forms of :func:`_tir_reflectance` and :func:`_tir_slope_on_grid`.
 
-
-def _tir_on_grid(sensor: Sensor, theta_deg: float, n2, n2kk):
-    """:func:`_tir_reflectance` over analyte indices ``n`` given as ``n**2`` and
-    ``n**2 k0**2``, each under total internal reflection: ``n < n_prism sin(theta)``.
-
-    There ``k3z = i kappa`` with ``kappa = sqrt(k_x**2 - n**2 k0**2)``, so with
-    ``beta = kappa / n**2`` the Airy form is ``(P + i beta Q) / (S + i beta T)``:
+    Under total internal reflection, ``n < n_prism sin(theta)``, the analyte's
+    ``k3z = i kappa`` with ``kappa = sqrt(k_x**2 - n**2 k0**2)``, so with
+    ``beta = kappa / n**2`` the Airy form is ``z / w = (P + i beta Q) / (S + i beta T)``:
     ``a2 = k2z / eps2``, ``P = a2 (ph + r12)``, ``Q = r12 - ph``,
     ``S = a2 (1 + ph r12)`` and ``T = 1 - ph r12`` depend on the angle only.
-    Each squared modulus is a real quadratic in ``beta``, summed here as
-    ``Re**2 + Im**2`` so that nothing cancels near the dip.
     """
     k0 = 2.0 * math.pi / sensor.wavelength_nm
     kk = k0 * k0
@@ -232,13 +225,46 @@ def _tir_on_grid(sensor: Sensor, theta_deg: float, n2, n2kk):
     r12 = complex(interface_reflection(eps1, eps2, k1z, k2z, pair="1|2"))
     ph = cmath.exp(2j * k2z * sensor.thickness_nm)
     a2 = k2z / eps2
-    p, q = a2 * (ph + r12), r12 - ph
-    s, t = a2 * (1.0 + ph * r12), 1.0 - ph * r12
-    beta = np.sqrt(kx2 - n2kk) / n2
+    return kk, kx2, a2 * (ph + r12), r12 - ph, a2 * (1.0 + ph * r12), 1.0 - ph * r12
+
+
+def _tir_reflectance(sensor: Sensor, theta_deg: float, n_analyte):
+    """Reflectance ``|r_sp|**2`` at one angle over an array of analyte indices,
+    all under total internal reflection: ``|z|**2 / |w|**2`` of :func:`_tir_terms`,
+    each summed as ``Re**2 + Im**2`` so that nothing cancels near the dip."""
+    kk, kx2, p, q, s, t = _tir_terms(sensor, theta_deg)
+    n2 = np.square(n_analyte)
+    beta = np.sqrt(kx2 - n2 * kk) / n2
     den = (s.real - beta * t.imag) ** 2 + (s.imag + beta * t.real) ** 2
     if np.count_nonzero(den == 0):
         raise FresnelSingularityError("vanishing composite denominator for stack 1|2|3")
     return ((p.real - beta * q.imag) ** 2 + (p.imag + beta * q.real) ** 2) / den
+
+
+def _tir_slope_terms(sensor: Sensor, thetas):
+    """Rows ``(k0**2, k_x**2, c0, c1, c2, d0, d1, d2)`` of :func:`_tir_slope_on_grid`,
+    one per angle.  ``z / w`` is a Moebius map in ``beta``: with ``K = Q S - P T``,
+    ``dR/dbeta = -2 Im(K conj(z w)) / |w|**4 = -(c0 + c1 beta + c2 beta**2) / D**2``
+    and ``D = |w|**2 = d0 + d1 beta + d2 beta**2``."""
+    kk, kx2, p, q, s, t = np.reshape([_tir_terms(sensor, theta) for theta in thetas], (-1, 6)).T
+    k = q * s - p * t
+    return np.stack([kk.real, kx2.real, 2.0 * (k * np.conj(p * s)).imag,
+                     -2.0 * (k * np.conj(p * t + q * s)).real, -2.0 * (k * np.conj(q * t)).imag,
+                     abs(s) ** 2, 2.0 * (s * np.conj(t)).imag, abs(t) ** 2], axis=1)
+
+
+def _tir_slope_on_grid(row, grid):
+    """``dR/dn`` at the angle of ``row`` over ``grid = (n, n**2, n**2 k0**2)``, all under
+    total internal reflection: ``d beta/dn = -(k0**2 / kappa + 2 beta) / n``, so
+    ``dR/dn = (c0 + c1 beta + c2 beta**2) (k0**2 / kappa + 2 beta) / (n D**2)``."""
+    kk, kx2, c0, c1, c2, d0, d1, d2 = row
+    n, n2, n2kk = grid
+    kappa = np.sqrt(kx2 - n2kk)
+    beta = kappa / n2
+    den = d0 + beta * (d1 + beta * d2)
+    if not den.all():
+        raise FresnelSingularityError("vanishing composite denominator for stack 1|2|3")
+    return (c0 + beta * (c1 + beta * c2)) * (kk / kappa + 2.0 * beta) / (n * den * den)
 
 
 def reflection(sensor: Sensor, theta_deg, n_analyte):
@@ -333,15 +359,16 @@ def _golden_minimize(f, a, b, tol: float):
     return (0.5 * (a + b))[()]
 
 
-def _grid_bracket(f, lo: float, hi: float, grid_points: int, what: str) -> tuple[float, float]:
+def _grid_bracket(f, lo: float, hi: float, grid_points: int, what: str,
+                  grid=None) -> tuple[float, float]:
     """The two grid cells around the minimum of ``f`` on a uniform grid over
-    [lo, hi], from one array call of ``f``.
+    [lo, hi] (``grid``, if the caller has built it), from one array call of ``f``.
 
     Raises :class:`NoInteriorExtremumError` when the grid minimum sits on a
     boundary.
     """
     step = (hi - lo) / (grid_points - 1)
-    i_min = int(np.argmin(f(lo + np.arange(grid_points) * step)))
+    i_min = int(np.argmin(f(lo + np.arange(grid_points) * step if grid is None else grid)))
     if i_min == 0 or i_min == grid_points - 1:
         raise NoInteriorExtremumError(f"{what} at grid boundary ({lo + i_min * step:.6f})")
     return lo + (i_min - 1) * step, lo + (i_min + 1) * step
@@ -411,8 +438,9 @@ def inflection_index(
     the total-internal-reflection regime ``n < n_prism sin(theta)`` where
     the attenuated-total-reflection scheme is defined.  Raises
     :class:`NoInteriorExtremumError` if the steepest point is not interior.
-    The grid scan uses a real closed form of the reflectance under total
-    internal reflection; the golden-section refinement uses the kernel.
+    The grid scan evaluates a real closed form of ``dR/dn`` under total
+    internal reflection, not ``n +- h``; the golden section refines the
+    kernel's central difference over ``n +- h``.
 
     With ``h = 1e-6`` the finite-difference objective is flat to rounding
     over ~1e-7 around its maximum: ``n_inf`` is meaningful to ~1e-7, not ``tol``.
@@ -434,9 +462,10 @@ def _steepest_flank(stack: Sensor, thetas, n_range: tuple[float, float],
                     tol: float, h: float, grid_points: int) -> list:
     """:func:`inflection_index` at each angle of ``thetas``: its ``n_inf``, or
     the :class:`NoInteriorExtremumError` raised there.  Each angle's grid is
-    scanned in real arithmetic by :func:`_tir_on_grid` (by the kernel if
-    ``h`` could carry ``n + h`` out of total internal reflection); the golden
-    sections run in lockstep on the kernel, by :func:`_steepness`."""
+    scanned for its largest ``|dR/dn|`` by :func:`_tir_slope_on_grid` (by the
+    kernel's central difference if ``h`` could carry ``n + h`` out of total
+    internal reflection); the golden sections run in lockstep on the kernel,
+    by :func:`_steepness`."""
     if h <= 0.0:
         raise ValueError("finite-difference step h must be positive")
     lo, hi = n_range
@@ -446,19 +475,15 @@ def _steepest_flank(stack: Sensor, thetas, n_range: tuple[float, float],
         raise ValueError("grid_points must be at least 3")
     geom = IncidenceGeometry(thetas)  # checks every angle, once
     k0 = 2.0 * math.pi / stack.wavelength_nm
-    latest = [None]  # the latest top, then its (n +- h)**2 and their product with k0**2
+    latest = None  # the latest top, whose grid n, n**2 and n**2 k0**2 are held in `grid`
 
-    def flank(theta, top, n):  # -|dR/dn| by sensitivity()'s central difference, at one angle
+    def flank(theta, row, grid):  # -|dR/dn| at one angle over its index grid
         if h > _TIR_MARGIN / 2:  # n + h may then cross into the propagating regime
-            return -abs(sensitivity(stack, IncidenceGeometry(theta), n, h))
-        if latest[0] != top:  # most angles share top = hi
-            n2 = np.square(np.stack([n + h, n - h]))
-            latest[:] = top, n2, n2 * (k0 * k0)
-        refl = _tir_on_grid(stack, theta, *latest[1:])
-        return -abs((refl[0] - refl[1]) / (2.0 * h))
+            return -abs(sensitivity(stack, IncidenceGeometry(theta), grid[0], h))
+        return -abs(_tir_slope_on_grid(row.tolist(), grid))  # floats beat numpy scalars here
 
     found = []  # per angle: its bracket, then its n_inf, or why it is skipped
-    for theta in thetas:
+    for theta, row in zip(thetas, _tir_slope_terms(stack, thetas)):
         n_critical = stack.n_prism * math.sin(math.radians(theta))
         top = min(hi, n_critical - _TIR_MARGIN)
         try:
@@ -467,8 +492,11 @@ def _steepest_flank(stack: Sensor, thetas, n_range: tuple[float, float],
                     f"no total-internal-reflection window above n={lo} at "
                     f"theta={theta} deg (crossover at {n_critical:.6f})"
                 )
-            found.append(_grid_bracket(lambda n: flank(theta, top, n), lo, top, grid_points,
-                                       "steepest flank at n"))
+            if latest != top:  # most angles share top = hi
+                n = lo + np.arange(grid_points) * ((top - lo) / (grid_points - 1))
+                latest, grid = top, (n, n * n, n * n * (k0 * k0))
+            found.append(_grid_bracket(lambda _: flank(theta, row, grid), lo, top, grid_points,
+                                       "steepest flank at n", grid[0]))
         except NoInteriorExtremumError as exc:
             found.append(exc)
     rows = [i for i, item in enumerate(found) if isinstance(item, tuple)]

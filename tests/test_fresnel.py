@@ -161,6 +161,15 @@ def test_reflection_rejects_an_index_whose_square_is_not_normal():
         reflection(sensor, 73.0, [1.38, 1e-155])
 
 
+def test_a_stack_refuses_an_index_whose_square_underflows():
+    """A stack is refused when it is built, with the message of
+    :func:`reflection`, not only when it is first evaluated."""
+    assert make_stack(n_analyte=1.5e-154).eps_analyte != 0
+    for n_analyte in [1e-155, 1e-300, 5e-324]:
+        with pytest.raises(ValueError, match=f"n_analyte={n_analyte} is too small: its square"):
+            make_stack(n_analyte=n_analyte)
+
+
 def test_transfer_matrix_agrees_with_recursive_form():
     k0 = 2.0 * math.pi / WAVELENGTH
     rng = np.random.default_rng(7)
@@ -433,6 +442,38 @@ def test_closed_form_scan_matches_the_kernel_scan():
                 assert g == w, (case, theta)
                 outcomes.add("interior")
     assert outcomes == {"interior", "boundary", "no TIR window"}
+
+
+@pytest.mark.parametrize("h", [1e-5, 1e-4, 4.9e-4])
+def test_closed_form_scan_stays_within_resolution_at_larger_steps(h):
+    """The closed-form scan picks each angle's grid cell by the exact
+    ``|dR/dn|``, the kernel scan by the central difference over ``n +- h``.
+    For larger ``h`` these can pick neighbouring cells, and the golden section
+    then stops elsewhere on the flat top of its objective, so the two searches
+    are not equal bit for bit.  On the default sensor at 48 and 52 nm no row
+    moves for ``h <= 3e-5``; for ``1e-4 <= h <= 4.9e-4``, 2 to 70 of the 361
+    rows move, by at most 7.5e-9.  Every ``n_inf`` must stay within 1e-7 of
+    the kernel scan's, the resolution :func:`inflection_index` documents, and
+    every skip must be the same."""
+    rng = np.random.default_rng(2025)
+    sensors = [make_stack(thickness=48.0), make_stack(thickness=52.0)]
+    for case in range(4):
+        sensors.append(Sensor(float(rng.uniform(1.45, 1.8)),
+                              gold_dispersion() if case % 2 else GOLD_DRUDE_LORENTZ,
+                              float(rng.uniform(35.0, 65.0)), float(rng.uniform(600.0, 1000.0))))
+    thetas = np.linspace(65.5, 83.5, 361).tolist()
+    outcomes = set()
+    for sensor in sensors:
+        args = (sensor, thetas, (1.30, 1.4422), 1e-9, h, 2001)
+        for g, w in zip(_steepest_flank(*args), _kernel_flank_search(*args), strict=True):
+            assert type(g) is type(w), (sensor, h, g, w)
+            if isinstance(w, NoInteriorExtremumError):
+                assert str(g) == str(w)
+                outcomes.add("skipped")
+            else:
+                assert abs(g - w) <= 1e-7, (sensor, h, g, w)
+                outcomes.add("interior")
+    assert outcomes == {"interior", "skipped"}
 
 
 @pytest.mark.parametrize("metal", [-11.7 + 1.2j, -11.7 - 1.2j, 2.25 - 0.1j])

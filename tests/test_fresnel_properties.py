@@ -1,5 +1,6 @@
 """Property tests of the broadcasting Airy kernel on random passive stacks,
-and of the real closed form that the steep-flank scan uses in its place."""
+and of the real closed forms of the reflectance and its slope that the
+steep-flank scan uses in its place."""
 
 import cmath
 import math
@@ -9,7 +10,8 @@ import pytest
 
 from plasmonq.fresnel import (_TIR_MARGIN, IncidenceGeometry, Sensor, _analyte_rsp,
                               _decaying_sqrt, _film_terms, _rsp, _steepness,
-                              _tir_reflectance, interface_reflection, reflection,
+                              _tir_reflectance, _tir_slope_on_grid, _tir_slope_terms,
+                              interface_reflection, reflection,
                               sensitivity, tangential_wavevector,
                               transfer_matrix_reflection)
 from plasmonq.materials import GOLD_DRUDE_LORENTZ, gold_dispersion
@@ -165,3 +167,55 @@ def test_the_golden_section_objective_is_minus_the_sensitivity(sensor, theta_deg
                        2.0 * math.pi / sensor.wavelength_nm, tangential_wavevector(sensor, geom))
     n = h + np.array(fractions) * (sensor.n_prism - 2.0 * h)
     assert np.array_equal(_steepness(film, n, h), -abs(sensitivity(sensor, geom, n, h)))
+
+
+# A film with gain can put a pole of r_sp next to the real index axis, where
+# no fixed finite-difference step resolves the curve: at R = 2.6e5 a
+# Richardson difference with h = 2e-6 was 7e-6 off a 40-digit derivative, the
+# closed form 9e-9.  The finite-difference references are trusted up to this
+# reflectance; a passive film stays below 1.
+TRUSTED_REFLECTANCE = 10.0
+
+
+def _closed_form_slope(sensor, theta_deg, n):
+    """``dR/dn`` over indices ``n`` at one angle, as the steep-flank scan takes it."""
+    k0 = 2.0 * math.pi / sensor.wavelength_nm
+    (row,) = _tir_slope_terms(sensor, [theta_deg]).tolist()
+    return _tir_slope_on_grid(row, (n, n * n, n * n * (k0 * k0)))
+
+
+def _richardson_slope(sensor, theta_deg, n, h):
+    """Richardson's extrapolation of the central difference of the closed-form
+    reflectance at steps ``h`` and ``h / 2``: its error is of order ``h**4``."""
+    def central(step):
+        return (_tir_reflectance(sensor, theta_deg, n + step)
+                - _tir_reflectance(sensor, theta_deg, n - step)) / (2.0 * step)
+    return (4.0 * central(h / 2.0) - central(h)) / 3.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(sensor=sensors, theta_deg=st.floats(35.0, 89.5), fraction=st.floats(0.01, 0.999))
+def test_the_closed_form_slope_is_the_derivative_of_the_reflectance(sensor, theta_deg,
+                                                                    fraction):
+    """Over indices under total internal reflection up to the scan's margin
+    below the crossover, the closed-form ``dR/dn`` agrees with
+    ``sensitivity(h=1e-6)`` within 1e-5 relative plus that difference's own
+    step error, and with a Richardson difference of :func:`_tir_reflectance`
+    within 1e-8 relative.  The step error, ``h**2 / 6`` times the third
+    derivative, is estimated as a third of the change from ``h`` to ``2 h``.
+    It matters only at grazing angles next to the crossover, where the third
+    derivative grows as ``(n_crit - n)**-2.5``: at 89 deg, on a 3 nm gold
+    film, it is 1.02e-5 of the slope, and the estimate is within 1e-9 of it.
+    Away from there, in one-off runs over 10000 random sensors, the worst
+    agreements seen were 6.0e-6 and 2.0e-9 relative, the latter set by
+    rounding at ``h = 2e-6``."""
+    geom = IncidenceGeometry(theta_deg)
+    top = sensor.n_prism * math.sin(math.radians(theta_deg)) - _TIR_MARGIN
+    n = np.linspace(fraction * top, top, 41)
+    trusted = _tir_reflectance(sensor, theta_deg, n) <= TRUSTED_REFLECTANCE
+    slope = _closed_form_slope(sensor, theta_deg, n)[trusted]
+    central = sensitivity(sensor, geom, n, 1e-6)[trusted]
+    step_error = abs(sensitivity(sensor, geom, n, 2e-6)[trusted] - central) / 3.0
+    assert np.all(abs(slope - central) <= 1e-5 * np.maximum(1.0, abs(central)) + step_error)
+    richardson = _richardson_slope(sensor, theta_deg, n, 2e-6)[trusted]
+    assert np.all(abs(slope - richardson) <= 1e-8 * np.maximum(1.0, abs(richardson)))
