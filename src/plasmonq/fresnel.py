@@ -181,90 +181,79 @@ def interface_reflection(
     return (a - b) / den
 
 
-def _film_terms(eps1, eps2, thickness_nm, k0, k_x):
-    """The terms of :func:`_rsp` that depend on the angle only, for :func:`_analyte_rsp`."""
+def _rsp(eps1, eps2, eps3, thickness_nm, k0, k_x):
+    """Airy three-layer amplitude with pre-resolved permittivities; broadcasts
+    over arrays of ``eps3`` and ``k_x``, and scalar inputs give a numpy scalar."""
     kk, kx2 = k0 * k0, k_x * k_x
     k2z = _decaying_sqrt(eps2 * kk - kx2)
     r12 = interface_reflection(eps1, eps2, _decaying_sqrt(eps1 * kk - kx2), k2z, pair="1|2")
-    return kk, kx2, eps2, k2z, r12, np.exp(2j * k2z * thickness_nm)
-
-
-def _analyte_rsp(film, eps3):
-    """:func:`_rsp` from its :func:`_film_terms`, at analyte permittivities ``eps3``."""
-    kk, kx2, eps2, k2z, r12, ph = film
-    k3z = _decaying_sqrt(eps3 * kk - kx2)
-    r23 = interface_reflection(eps2, eps3, k2z, k3z, pair="2|3")
+    ph = np.exp(2j * k2z * thickness_nm)
+    r23 = interface_reflection(eps2, eps3, k2z, _decaying_sqrt(eps3 * kk - kx2), pair="2|3")
     den = ph * r23 * r12 + 1.0
     if np.count_nonzero(den == 0):
         raise FresnelSingularityError("vanishing composite denominator for stack 1|2|3")
     return (ph * r23 + r12) / den
 
 
-def _rsp(eps1, eps2, eps3, thickness_nm, k0, k_x):
-    """Airy three-layer amplitude with pre-resolved permittivities; broadcasts
-    over arrays of ``eps3`` and ``k_x``, and scalar inputs give a numpy scalar."""
-    return _analyte_rsp(_film_terms(eps1, eps2, thickness_nm, k0, k_x), eps3)
-
-
-def _tir_terms(sensor: Sensor, theta_deg: float):
-    """``k0**2``, ``k_x**2`` and the complex ``P, Q, S, T`` of one angle, which
-    give the closed forms of :func:`_tir_reflectance` and :func:`_tir_slope_on_grid`.
-
-    Under total internal reflection, ``n < n_prism sin(theta)``, the analyte's
-    ``k3z = i kappa`` with ``kappa = sqrt(k_x**2 - n**2 k0**2)``, so with
-    ``beta = kappa / n**2`` the Airy form is ``z / w = (P + i beta Q) / (S + i beta T)``:
-    ``a2 = k2z / eps2``, ``P = a2 (ph + r12)``, ``Q = r12 - ph``,
-    ``S = a2 (1 + ph r12)`` and ``T = 1 - ph r12`` depend on the angle only.
-    """
-    k0 = 2.0 * math.pi / sensor.wavelength_nm
-    kk = k0 * k0
-    kx2 = (k0 * sensor.n_prism * math.sin(math.radians(theta_deg))) ** 2
-    eps1, eps2 = sensor.eps_prism, sensor.metal_permittivity
-    k1z = k0 * sensor.n_prism * math.cos(math.radians(theta_deg))  # a lossless prism
-    k2z = cmath.sqrt(eps2 * kk - kx2)  # either branch: r_sp is even in the film's k2z
-    r12 = complex(interface_reflection(eps1, eps2, k1z, k2z, pair="1|2"))
-    ph = cmath.exp(2j * k2z * sensor.thickness_nm)
-    a2 = k2z / eps2
-    return kk, kx2, a2 * (ph + r12), r12 - ph, a2 * (1.0 + ph * r12), 1.0 - ph * r12
-
-
-def _tir_reflectance(sensor: Sensor, theta_deg: float, n_analyte):
-    """Reflectance ``|r_sp|**2`` at one angle over an array of analyte indices,
-    all under total internal reflection: ``|z|**2 / |w|**2`` of :func:`_tir_terms`,
-    each summed as ``Re**2 + Im**2`` so that nothing cancels near the dip."""
-    kk, kx2, p, q, s, t = _tir_terms(sensor, theta_deg)
-    n2 = np.square(n_analyte)
-    beta = np.sqrt(kx2 - n2 * kk) / n2
-    den = (s.real - beta * t.imag) ** 2 + (s.imag + beta * t.real) ** 2
-    if np.count_nonzero(den == 0):
-        raise FresnelSingularityError("vanishing composite denominator for stack 1|2|3")
-    return ((p.real - beta * q.imag) ** 2 + (p.imag + beta * q.real) ** 2) / den
-
-
 def _tir_slope_terms(sensor: Sensor, thetas):
-    """Rows ``(k0**2, k_x**2, c0, c1, c2, d0, d1, d2)`` of :func:`_tir_slope_on_grid`,
-    one per angle.  ``z / w`` is a Moebius map in ``beta``: with ``K = Q S - P T``,
-    ``dR/dbeta = -2 Im(K conj(z w)) / |w|**4 = -(c0 + c1 beta + c2 beta**2) / D**2``
-    and ``D = |w|**2 = d0 + d1 beta + d2 beta**2``."""
-    kk, kx2, p, q, s, t = np.reshape([_tir_terms(sensor, theta) for theta in thetas], (-1, 6)).T
+    """Rows ``(k0**2, k_x**2, c0, c1, c2, d0, d1, d2)``, one per angle, of the closed
+    forms under total internal reflection, where ``k3z = i kappa``: with ``beta =
+    kappa / n**2`` the Airy form is the Moebius map ``z / w = (P + i beta Q) / (S +
+    i beta T)``, ``a2 = k2z / eps2``, ``P = a2 (ph + r12)``, ``Q = r12 - ph``,
+    ``S = a2 (1 + ph r12)``, ``T = 1 - ph r12``.  With ``K = Q S - P T``,
+    ``dR/dbeta = -2 Im(K conj(z w)) / |w|**4 = -C / D**2``, ``C = c0 + c1 beta +
+    c2 beta**2`` and ``D = |w|**2 = d0 + d1 beta + d2 beta**2``."""
+    k0 = 2.0 * math.pi / sensor.wavelength_nm
+    theta = np.radians(np.asarray(thetas, dtype=float))
+    kx2 = (k0 * sensor.n_prism * np.sin(theta)) ** 2
+    eps2 = sensor.metal_permittivity
+    k1z = k0 * sensor.n_prism * np.cos(theta)  # a lossless prism
+    k2z = np.sqrt(eps2 * (k0 * k0) - kx2)  # either branch: r_sp is even in the film's k2z
+    r12 = interface_reflection(sensor.eps_prism, eps2, k1z, k2z, pair="1|2")
+    ph = np.exp(2j * k2z * sensor.thickness_nm)
+    a2 = k2z / eps2
+    p, q, s, t = a2 * (ph + r12), r12 - ph, a2 * (1.0 + ph * r12), 1.0 - ph * r12
     k = q * s - p * t
-    return np.stack([kk.real, kx2.real, 2.0 * (k * np.conj(p * s)).imag,
+    return np.stack([np.full_like(kx2, k0 * k0), kx2, 2.0 * (k * np.conj(p * s)).imag,
                      -2.0 * (k * np.conj(p * t + q * s)).real, -2.0 * (k * np.conj(q * t)).imag,
                      abs(s) ** 2, 2.0 * (s * np.conj(t)).imag, abs(t) ** 2], axis=1)
 
 
 def _tir_slope_on_grid(row, grid):
-    """``dR/dn`` at the angle of ``row`` over ``grid = (n, n**2, n**2 k0**2)``, all under
-    total internal reflection: ``d beta/dn = -(k0**2 / kappa + 2 beta) / n``, so
-    ``dR/dn = (c0 + c1 beta + c2 beta**2) (k0**2 / kappa + 2 beta) / (n D**2)``."""
+    """``dR/dn = C G / (n D**2)`` at the angle of ``row`` over ``grid = (n, n**2, n**2
+    k0**2)``, since ``d beta/dn = -G / n`` with ``G = k0**2 / kappa + 2 beta``.  Four
+    arrays are allocated; every other step works in place, in that formula's order."""
     kk, kx2, c0, c1, c2, d0, d1, d2 = row
     n, n2, n2kk = grid
-    kappa = np.sqrt(kx2 - n2kk)
-    beta = kappa / n2
-    den = d0 + beta * (d1 + beta * d2)
+    kappa = np.subtract(kx2, n2kk)
+    beta = np.sqrt(kappa, out=kappa) / n2
+    den = beta * d2  # D = d0 + beta (d1 + beta d2)
+    den += d1
+    den *= beta
+    den += d0
     if not den.all():
         raise FresnelSingularityError("vanishing composite denominator for stack 1|2|3")
-    return (c0 + beta * (c1 + beta * c2)) * (kk / kappa + 2.0 * beta) / (n * den * den)
+    num = beta * c2  # C = c0 + beta (c1 + beta c2)
+    num += c1
+    num *= beta
+    num += c0
+    num *= np.add(np.divide(kk, kappa, out=kappa), np.multiply(beta, 2.0, out=beta), out=kappa)
+    num /= np.multiply(np.multiply(n, den, out=beta), den, out=beta)
+    return num
+
+
+def _tir_curvature(cols, n):
+    """``n**2 D**3 d2R/dn2``, which has the sign of ``d2R/dn2``, at one index per
+    column of ``cols``, the transposed rows of :func:`_tir_slope_terms`:
+    ``G**2 (2 C D' - D C') + D C (n**2 k0**4 / kappa**3 - 3 G)``, primes in ``beta``."""
+    kk, kx2, c0, c1, c2, d0, d1, d2 = cols
+    n2 = n * n
+    kappa = np.sqrt(kx2 - n2 * kk)
+    beta = kappa / n2
+    g = kk / kappa + 2.0 * beta
+    c, d = c0 + beta * (c1 + beta * c2), d0 + beta * (d1 + beta * d2)
+    return (g * g * (2.0 * c * (d1 + 2.0 * d2 * beta) - d * (c1 + 2.0 * c2 * beta))
+            + d * c * (n2 * kk * kk / (kappa * kappa * kappa) - 3.0 * g))
 
 
 def reflection(sensor: Sensor, theta_deg, n_analyte):
@@ -359,6 +348,33 @@ def _golden_minimize(f, a, b, tol: float):
     return (0.5 * (a + b))[()]
 
 
+def _illinois_root(f, a, b, tol: float):
+    """Roots of f on brackets ``[a, b]`` (1-d arrays, in lockstep: one call of ``f``
+    per iteration) by the Illinois method (Dowell and Jarratt, BIT 11, 1971),
+    regula falsi that halves the value of an end kept twice in a row.  A row
+    stops once its bracket is within ``tol``, holds no float inside or ends on
+    a zero, and returns that bracket's regula falsi point; a row whose ``f`` has
+    one sign at both ends returns its midpoint."""
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    fa, fb = f(a), f(b)
+    straddle = np.sign(fa) != np.sign(fb)  # the other rows never move
+    ua, ub = fa.copy(), fb.copy()  # the values the secant takes; Illinois halves them
+    kept = np.zeros(a.shape, dtype=int)  # the end kept last: -1 is a, +1 is b
+    live = straddle & (fa != 0) & (fb != 0) & (b - a > tol)
+    while live.any():
+        x = a + np.divide(ua, ua - ub, out=np.zeros_like(a), where=live) * (b - a)  # in [a, b]
+        fx = f(x)
+        move_a = live & (np.sign(fx) != np.sign(fb))  # so a zero takes a's place
+        move_b = live & ~move_a
+        ub[move_a & (kept == 1)] *= 0.5
+        ua[move_b & (kept == -1)] *= 0.5
+        a[move_a], fa[move_a], ua[move_a] = x[move_a], fx[move_a], fx[move_a]
+        b[move_b], fb[move_b], ub[move_b] = x[move_b], fx[move_b], fx[move_b]
+        kept[move_a], kept[move_b] = 1, -1
+        live &= (fa != 0) & (b - a > tol) & (np.nextafter(a, b) < b)
+    return a + np.divide(fa, fa - fb, out=np.full_like(a, 0.5), where=straddle) * (b - a)
+
+
 def _grid_bracket(f, lo: float, hi: float, grid_points: int, what: str,
                   grid=None) -> tuple[float, float]:
     """The two grid cells around the minimum of ``f`` on a uniform grid over
@@ -417,9 +433,8 @@ def sensitivity(
 
 
 # The reflectance has a square-root cusp where the analyte turns propagating
-# (n = n_prism sin theta); its one-sided derivative diverges, so any
-# finite-difference argmax would lock onto it.  The sensor operates under
-# total internal reflection, strictly below that crossover.
+# (n = n_prism sin theta), and |dR/dn| diverges there, so any argmax of it would
+# lock onto it.  The sensor operates under total internal reflection, below it.
 _TIR_MARGIN = 1e-3
 
 
@@ -438,12 +453,10 @@ def inflection_index(
     the total-internal-reflection regime ``n < n_prism sin(theta)`` where
     the attenuated-total-reflection scheme is defined.  Raises
     :class:`NoInteriorExtremumError` if the steepest point is not interior.
-    The grid scan evaluates a real closed form of ``dR/dn`` under total
-    internal reflection, not ``n +- h``; the golden section refines the
-    kernel's central difference over ``n +- h``.
-
-    With ``h = 1e-6`` the finite-difference objective is flat to rounding
-    over ~1e-7 around its maximum: ``n_inf`` is meaningful to ~1e-7, not ``tol``.
+    A grid scan of the closed-form ``dR/dn`` brackets it, and an Illinois solve
+    for the root of the closed-form ``d2R/dn2`` refines it: ``n_inf`` lies within
+    ``tol`` of a sign change of the computed ``d2R/dn2``.  ``h`` does not move
+    ``n_inf``; it is checked so that ``n_inf +- h`` lies in ``(0, n_prism)``.
     """
     (n_inf,) = _steepest_flank(stack, [geom.theta_deg], n_range, tol, h, grid_points)
     if isinstance(n_inf, NoInteriorExtremumError):
@@ -451,21 +464,11 @@ def inflection_index(
     return n_inf
 
 
-def _steepness(film, n, h: float):
-    """``-|sensitivity(stack, geom, n, h)|`` from :func:`_film_terms`; ``n +- h`` unchecked."""
-    pair = np.stack([n + h, n - h])
-    refl = abs(_analyte_rsp(film, pair * pair)) ** 2
-    return -abs((refl[0] - refl[1]) / (2.0 * h))
-
-
 def _steepest_flank(stack: Sensor, thetas, n_range: tuple[float, float],
                     tol: float, h: float, grid_points: int) -> list:
-    """:func:`inflection_index` at each angle of ``thetas``: its ``n_inf``, or
-    the :class:`NoInteriorExtremumError` raised there.  Each angle's grid is
-    scanned for its largest ``|dR/dn|`` by :func:`_tir_slope_on_grid` (by the
-    kernel's central difference if ``h`` could carry ``n + h`` out of total
-    internal reflection); the golden sections run in lockstep on the kernel,
-    by :func:`_steepness`."""
+    """:func:`inflection_index` at each angle of ``thetas``: its ``n_inf``, or the
+    :class:`NoInteriorExtremumError` raised there.  Each angle's grid is scanned
+    by :func:`_tir_slope_on_grid`; one lockstep solve refines every bracket."""
     if h <= 0.0:
         raise ValueError("finite-difference step h must be positive")
     lo, hi = n_range
@@ -473,17 +476,13 @@ def _steepest_flank(stack: Sensor, thetas, n_range: tuple[float, float],
         raise ValueError(f"n_range {n_range} must be ordered inside (h, n_prism - h)")
     if grid_points < 3:
         raise ValueError("grid_points must be at least 3")
-    geom = IncidenceGeometry(thetas)  # checks every angle, once
+    IncidenceGeometry(thetas)  # checks every angle, once
     k0 = 2.0 * math.pi / stack.wavelength_nm
     latest = None  # the latest top, whose grid n, n**2 and n**2 k0**2 are held in `grid`
 
-    def flank(theta, row, grid):  # -|dR/dn| at one angle over its index grid
-        if h > _TIR_MARGIN / 2:  # n + h may then cross into the propagating regime
-            return -abs(sensitivity(stack, IncidenceGeometry(theta), grid[0], h))
-        return -abs(_tir_slope_on_grid(row.tolist(), grid))  # floats beat numpy scalars here
-
+    rows = _tir_slope_terms(stack, thetas)
     found = []  # per angle: its bracket, then its n_inf, or why it is skipped
-    for theta, row in zip(thetas, _tir_slope_terms(stack, thetas)):
+    for theta, row in zip(thetas, rows):
         n_critical = stack.n_prism * math.sin(math.radians(theta))
         top = min(hi, n_critical - _TIR_MARGIN)
         try:
@@ -495,16 +494,16 @@ def _steepest_flank(stack: Sensor, thetas, n_range: tuple[float, float],
             if latest != top:  # most angles share top = hi
                 n = lo + np.arange(grid_points) * ((top - lo) / (grid_points - 1))
                 latest, grid = top, (n, n * n, n * n * (k0 * k0))
-            found.append(_grid_bracket(lambda _: flank(theta, row, grid), lo, top, grid_points,
+            slope = _tir_slope_on_grid(row.tolist(), grid)  # floats beat numpy scalars here
+            np.copysign(slope, -1.0, out=slope)  # -|dR/dn|, in place
+            found.append(_grid_bracket(lambda _: slope, lo, top, grid_points,
                                        "steepest flank at n", grid[0]))
         except NoInteriorExtremumError as exc:
             found.append(exc)
-    rows = [i for i, item in enumerate(found) if isinstance(item, tuple)]
-    a, b = np.reshape([found[i] for i in rows], (-1, 2)).T
-    film = _film_terms(stack.eps_prism, stack.metal_permittivity, stack.thickness_nm, k0,
-                       tangential_wavevector(stack, geom)[rows])
-    # each bracket lies in [lo, top], so every n +- h is inside (0, n_prism)
-    n_inf = _golden_minimize(lambda n: _steepness(film, n, h), a, b, tol)
-    for i, n in zip(rows, n_inf.tolist()):
+    kept = [i for i, item in enumerate(found) if isinstance(item, tuple)]
+    a, b = np.reshape([found[i] for i in kept], (-1, 2)).T
+    cols = rows[kept].T
+    n_inf = _illinois_root(lambda n: _tir_curvature(cols, n), a, b, tol)
+    for i, n in zip(kept, n_inf.tolist()):
         found[i] = n
     return found

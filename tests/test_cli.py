@@ -85,6 +85,18 @@ def test_inflection_rows_increase_with_angle(capsys):
     assert values == sorted(values)
 
 
+def test_the_fd_step_does_not_move_the_operating_points(capsys):
+    # the search solves for the root of the closed-form d2R/dn2; a central
+    # difference over n +- h moved n_inf by up to 5.1e-3 at h = 1e-2
+    outputs = []
+    for step in ("1e-6", "4e-4", "2e-3", "1e-2"):
+        code, out, err = run_cli(capsys, "inflection", "--fd-step", step)
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert len(parse_csv(outputs[0])) == 361
+    assert outputs[1:] == outputs[:1] * 3
+
+
 def test_ratio_schema(capsys):
     code, out, _ = run_cli(capsys, "ratio", "--n-steps", "7", "--state", "tmsv",
                            "--photons", "2")

@@ -16,9 +16,11 @@ from plasmonq.fresnel import (
     _TIR_MARGIN,
     _golden_minimize,
     _grid_bracket,
+    _illinois_root,
     _rsp,
     _steepest_flank,
-    _tir_reflectance,
+    _tir_slope_on_grid,
+    _tir_slope_terms,
     inflection_index,
     interface_reflection,
     reflection,
@@ -53,6 +55,28 @@ def make_stack(n_analyte=1.38, metal=None, thickness=50.0):
 
 
 GEOM_73 = IncidenceGeometry(73.0)
+
+
+def _tir_reflectance(sensor, theta_deg, n_analyte):
+    """Reflectance ``|r_sp|**2`` at one angle over an array of analyte indices,
+    all under total internal reflection, from the terms that
+    :func:`plasmonq.fresnel._tir_slope_terms` forms in array arithmetic: with
+    ``beta = kappa / n**2``, ``|P + i beta Q|**2 / |S + i beta T|**2``, each
+    summed as ``Re**2 + Im**2`` so that nothing cancels near the dip."""
+    k0 = 2.0 * math.pi / sensor.wavelength_nm
+    theta = np.radians(np.array([theta_deg]))
+    kx2 = (k0 * sensor.n_prism * np.sin(theta)) ** 2
+    eps2 = sensor.metal_permittivity
+    k2z = np.sqrt(eps2 * (k0 * k0) - kx2)
+    r12 = interface_reflection(sensor.eps_prism, eps2, k0 * sensor.n_prism * np.cos(theta), k2z)
+    ph = np.exp(2j * k2z * sensor.thickness_nm)
+    a2 = k2z / eps2
+    (p, q, s, t) = (v.item() for v in (a2 * (ph + r12), r12 - ph, a2 * (1.0 + ph * r12),
+                                       1.0 - ph * r12))
+    n2 = np.square(n_analyte)
+    beta = np.sqrt(kx2.item() - n2 * (k0 * k0)) / n2
+    den = (s.real - beta * t.imag) ** 2 + (s.imag + beta * t.real) ** 2
+    return ((p.real - beta * q.imag) ** 2 + (p.imag + beta * q.real) ** 2) / den
 
 
 def test_tangential_wavevector_formula():
@@ -363,6 +387,60 @@ def test_golden_minimizer_rows_match_their_scalar_searches():
     assert got[-1] == 0.5 * (a[-1] + b[-1])
 
 
+def _illinois_loop(f, a, b, tol):
+    """One bracket at a time, in Python floats: the reference for the lockstep form."""
+    fa, fb = f(a), f(b)
+    if (fa > 0) == (fb > 0) and fa != 0 and fb != 0:
+        return a + 0.5 * (b - a)
+    ua, ub, kept = fa, fb, 0
+    while fa != 0 and fb != 0 and b - a > tol and math.nextafter(a, b) < b:
+        x = a + ua / (ua - ub) * (b - a)
+        fx = f(x)
+        if (fx > 0) != (fb > 0) or fx == 0:
+            ub = 0.5 * ub if kept == 1 else ub
+            a, fa, ua, kept = x, fx, fx, 1
+        else:
+            ua = 0.5 * ua if kept == -1 else ua
+            b, fb, ub, kept = x, fx, fx, -1
+    return a + fa / (fa - fb) * (b - a)
+
+
+def test_illinois_finds_planted_roots_in_lockstep():
+    """Rows of a cubic, a steep tanh, a root at a bracket end and a bracket
+    already within ``tol``: each row lands on its root, and is the scalar
+    Illinois search of that row to the bit."""
+    shifts = np.array([1.38, 0.3, 2.0, 5.0])
+    steep = np.array([False, True, False, False])
+    a = np.array([1.36, -1.0, 2.0, 5.0 - 1e-12])
+    b = np.array([1.40, 1.0, 3.0, 5.0 + 1e-12])
+
+    def planted(x, shift, steep):
+        return np.where(steep, np.tanh((x - shift) / 1e-3), (x - shift) ** 3 + (x - shift))
+
+    got = _illinois_root(lambda x: planted(x, shifts, steep), a, b, 1e-9)
+    np.testing.assert_allclose(got, shifts, rtol=0, atol=1e-12)
+    assert got[2] == 2.0
+    for i in range(len(shifts)):
+        def one(x):
+            return planted(x, shifts[i], steep[i]).item()
+        assert got[i] == _illinois_loop(one, float(a[i]), float(b[i]), 1e-9)
+
+
+def test_illinois_without_a_sign_change_returns_the_midpoint():
+    # no root inside the first bracket; two roots, so one sign, in the second
+    a, b = np.array([1.0, -2.0]), np.array([2.0, 2.0])
+    got = _illinois_root(lambda x: x * x - 1.0 + np.where(a > 0, 5.0, 0.0), a, b, 1e-12)
+    assert got.tolist() == [1.5, 0.0]
+
+
+def test_illinois_stops_when_no_float_is_left_inside():
+    # tol = 0 cannot be met; the bracket closes on two neighbouring floats
+    root = math.sqrt(2.0)
+    a, b = np.array([1.0]), np.array([2.0])
+    (got,) = _illinois_root(lambda x: x * x - 2.0, a, b, 0.0)
+    assert abs(got - root) <= 2 * math.ulp(root)
+
+
 def test_lockstep_flank_search_matches_the_one_angle_search():
     # 60 deg has no TIR window above 1.333; 65.5 deg and, on the narrow
     # range, 71-79 deg put the steepest point on the grid boundary
@@ -385,10 +463,10 @@ def test_lockstep_flank_search_matches_the_one_angle_search():
     assert outcomes == {"interior", "boundary", "no TIR window"}
 
 
-def _kernel_flank_search(stack, thetas, n_range, tol, h, grid_points):
-    """The steep-flank search with every grid point scanned through
-    :func:`sensitivity`, i.e. the complex kernel: the reference that the
-    real closed-form scan must reproduce exactly."""
+def _kernel_flank_scan(stack, thetas, n_range, h, grid_points):
+    """The steep-flank scan with every grid point evaluated through
+    :func:`sensitivity`, i.e. the complex kernel's central difference: each
+    angle's bracket, or why the angle is skipped."""
     lo, hi = n_range
     found = []
     for theta in thetas:
@@ -405,20 +483,32 @@ def _kernel_flank_search(stack, thetas, n_range, tol, h, grid_points):
                                        lo, top, grid_points, "steepest flank at n"))
         except NoInteriorExtremumError as exc:
             found.append(exc)
-    rows = [i for i, item in enumerate(found) if isinstance(item, tuple)]
-    geom = IncidenceGeometry([thetas[i] for i in rows])
-    a, b = np.reshape([found[i] for i in rows], (-1, 2)).T
-    n_inf = _golden_minimize(lambda n: -abs(sensitivity(stack, geom, n, h)), a, b, tol)
-    for i, n in zip(rows, n_inf.tolist()):
-        found[i] = n
     return found
+
+
+def test_the_in_place_scan_has_the_bits_of_the_plain_formula():
+    """The scan's in-place arithmetic keeps the order of the plain formula,
+    so at each of the 361 default angles its values, and so the grid cell it
+    picks, are those of the plain formula."""
+    k0 = 2.0 * math.pi / WAVELENGTH
+    thetas = np.linspace(65.5, 83.5, 361)
+    for theta, row in zip(thetas.tolist(), _tir_slope_terms(make_stack(), thetas).tolist()):
+        top = min(1.4422, PRISM * math.sin(math.radians(theta)) - _TIR_MARGIN)
+        n = np.linspace(1.30, top, 2001)
+        kk, kx2, c0, c1, c2, d0, d1, d2 = row
+        kappa = np.sqrt(kx2 - n * n * (k0 * k0))
+        beta = kappa / (n * n)
+        den = d0 + beta * (d1 + beta * d2)
+        plain = (c0 + beta * (c1 + beta * c2)) * (kk / kappa + 2.0 * beta) / (n * den * den)
+        assert np.array_equal(_tir_slope_on_grid(row, (n, n * n, n * n * (k0 * k0))), plain)
 
 
 def test_closed_form_scan_matches_the_kernel_scan():
     """Seeded sensors over both gold sources, angle grids from below the
-    critical angle to grazing, narrow and wide index ranges, coarse and fine
-    grids, and a step ``h`` past half the TIR margin (scanned by the kernel):
-    every ``n_inf`` is equal and every skip has the same message."""
+    critical angle to grazing, narrow and wide index ranges, and coarse and
+    fine grids: the search skips the angles that the kernel's central
+    difference at ``h = 1e-6`` skips, with the same message, and refines every
+    other angle inside the bracket of that kernel scan."""
     rng = np.random.default_rng(2024)
     outcomes = set()
     for case in range(12):
@@ -428,33 +518,27 @@ def test_closed_form_scan_matches_the_kernel_scan():
         lo = float(rng.uniform(1.0, 1.34))
         hi = min(lo + float(rng.choice([0.01, 0.05, 0.2])), n_prism - 0.01)
         thetas = np.linspace(rng.uniform(35.0, 60.0), rng.uniform(75.0, 89.0), 15).tolist()
-        h = 2e-3 if case == 8 else 1e-6
         grid_points = 201 if case % 3 == 0 else 2001
-        args = (sensor, thetas, (lo, hi), 1e-9, h, grid_points)
-        got, want = _steepest_flank(*args), _kernel_flank_search(*args)
+        got = _steepest_flank(sensor, thetas, (lo, hi), 1e-9, 1e-6, grid_points)
+        want = _kernel_flank_scan(sensor, thetas, (lo, hi), 1e-6, grid_points)
         assert len(got) == len(want) == len(thetas)
         for theta, g, w in zip(thetas, got, want):
-            assert type(g) is type(w), (case, theta, g, w)
             if isinstance(w, NoInteriorExtremumError):
-                assert str(g) == str(w)
+                assert type(g) is type(w) and str(g) == str(w), (case, theta, g)
                 outcomes.add("no TIR window" if "total-internal" in str(w) else "boundary")
             else:
-                assert g == w, (case, theta)
+                assert w[0] <= g <= w[1], (case, theta, g, w)
                 outcomes.add("interior")
     assert outcomes == {"interior", "boundary", "no TIR window"}
 
 
 @pytest.mark.parametrize("h", [1e-5, 1e-4, 4.9e-4])
 def test_closed_form_scan_stays_within_resolution_at_larger_steps(h):
-    """The closed-form scan picks each angle's grid cell by the exact
-    ``|dR/dn|``, the kernel scan by the central difference over ``n +- h``.
-    For larger ``h`` these can pick neighbouring cells, and the golden section
-    then stops elsewhere on the flat top of its objective, so the two searches
-    are not equal bit for bit.  On the default sensor at 48 and 52 nm no row
-    moves for ``h <= 3e-5``; for ``1e-4 <= h <= 4.9e-4``, 2 to 70 of the 361
-    rows move, by at most 7.5e-9.  Every ``n_inf`` must stay within 1e-7 of
-    the kernel scan's, the resolution :func:`inflection_index` documents, and
-    every skip must be the same."""
+    """The search does not use ``h``: at every step it returns the ``n_inf``
+    it returns at ``h = 1e-6``, bit for bit, and skips the same angles with
+    the same messages.  (Until the refinement solved for the root of
+    ``d2R/dn2``, it maximised the kernel's central difference over ``n +- h``,
+    and ``n_inf`` moved by up to 8.9e-6 at ``h = 4e-4``.)"""
     rng = np.random.default_rng(2025)
     sensors = [make_stack(thickness=48.0), make_stack(thickness=52.0)]
     for case in range(4):
@@ -464,14 +548,15 @@ def test_closed_form_scan_stays_within_resolution_at_larger_steps(h):
     thetas = np.linspace(65.5, 83.5, 361).tolist()
     outcomes = set()
     for sensor in sensors:
-        args = (sensor, thetas, (1.30, 1.4422), 1e-9, h, 2001)
-        for g, w in zip(_steepest_flank(*args), _kernel_flank_search(*args), strict=True):
+        got = _steepest_flank(sensor, thetas, (1.30, 1.4422), 1e-9, h, 2001)
+        want = _steepest_flank(sensor, thetas, (1.30, 1.4422), 1e-9, 1e-6, 2001)
+        for g, w in zip(got, want, strict=True):
             assert type(g) is type(w), (sensor, h, g, w)
             if isinstance(w, NoInteriorExtremumError):
                 assert str(g) == str(w)
                 outcomes.add("skipped")
             else:
-                assert abs(g - w) <= 1e-7, (sensor, h, g, w)
+                assert g == w, (sensor, h)
                 outcomes.add("interior")
     assert outcomes == {"interior", "skipped"}
 
@@ -479,11 +564,16 @@ def test_closed_form_scan_stays_within_resolution_at_larger_steps(h):
 @pytest.mark.parametrize("metal", [-11.7 + 1.2j, -11.7 - 1.2j, 2.25 - 0.1j])
 def test_tir_closed_form_takes_the_kernels_branch_for_any_film(metal):
     # a film with gain (Im eps < 0) puts the principal root k2z on the growing
-    # branch, which the kernel flips; r_sp is even in k2z, so both agree
+    # branch, which the kernel flips; r_sp is even in k2z, so both agree, and
+    # so does the closed-form slope with the kernel's central difference
     sensor = Sensor(PRISM, metal, 50.0, WAVELENGTH)
     n = np.linspace(1.30, PRISM * math.sin(math.radians(73.0)) - _TIR_MARGIN, 101)
     np.testing.assert_allclose(_tir_reflectance(sensor, 73.0, n),
                                abs(reflection(sensor, 73.0, n)) ** 2, rtol=0, atol=1e-12)
+    k0 = 2.0 * math.pi / WAVELENGTH
+    (row,) = _tir_slope_terms(sensor, [73.0]).tolist()
+    np.testing.assert_allclose(_tir_slope_on_grid(row, (n, n * n, n * n * (k0 * k0))),
+                               sensitivity(sensor, GEOM_73, n), rtol=1e-6, atol=1e-8)
 
 
 def test_inflection_index_matches_frozen_value():

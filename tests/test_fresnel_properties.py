@@ -1,6 +1,6 @@
 """Property tests of the broadcasting Airy kernel on random passive stacks,
-and of the real closed forms of the reflectance and its slope that the
-steep-flank scan uses in its place."""
+and of the real closed forms of the reflectance, its slope and its curvature
+that the steep-flank search uses in its place."""
 
 import cmath
 import math
@@ -8,13 +8,13 @@ import math
 import numpy as np
 import pytest
 
-from plasmonq.fresnel import (_TIR_MARGIN, IncidenceGeometry, Sensor, _analyte_rsp,
-                              _decaying_sqrt, _film_terms, _rsp, _steepness,
-                              _tir_reflectance, _tir_slope_on_grid, _tir_slope_terms,
+from plasmonq.fresnel import (_TIR_MARGIN, IncidenceGeometry, Sensor, _decaying_sqrt, _rsp,
+                              _tir_curvature, _tir_slope_on_grid, _tir_slope_terms,
                               interface_reflection, reflection,
                               sensitivity, tangential_wavevector,
                               transfer_matrix_reflection)
 from plasmonq.materials import GOLD_DRUDE_LORENTZ, gold_dispersion
+from test_fresnel import _tir_reflectance
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -100,8 +100,8 @@ sensors = st.builds(
 
 
 def _unsplit_rsp(eps1, eps2, eps3, thickness_nm, k0, k_x):
-    """The Airy kernel as one function, before its split into film terms
-    and an analyte part: the reference for the split's bits."""
+    """The Airy kernel as one function, written out apart from the package's:
+    the reference for its bits."""
     kk = k0 * k0
     kx2 = k_x * k_x
     k1z = _decaying_sqrt(eps1 * kk - kx2)
@@ -114,7 +114,8 @@ def _unsplit_rsp(eps1, eps2, eps3, thickness_nm, k0, k_x):
 
 
 def _unsplit_tir_reflectance(sensor, theta_deg, n_analyte):
-    """The closed form as one function, before its grid terms were split off."""
+    """The closed form as one function in scalar ``cmath`` arithmetic, as the
+    package formed its per-angle terms before they became array rows."""
     k0 = 2.0 * math.pi / sensor.wavelength_nm
     kk = k0 * k0
     kx2 = (k0 * sensor.n_prism * math.sin(math.radians(theta_deg))) ** 2
@@ -132,41 +133,37 @@ def _unsplit_tir_reflectance(sensor, theta_deg, n_analyte):
     return ((p.real - beta * q.imag) ** 2 + (p.imag + beta * q.real) ** 2) / den
 
 
+# numpy's complex ``*`` and ``/`` round differently from CPython's scalar ones,
+# so the array terms do not have the scalar terms' bits.  In one-off runs over
+# 20000 random sensors drawn like ``sensors``, the two closed forms differed by
+# at most 3.6e-13 relative; the bound is about ten times that.
+ROW_FORM_RTOL = 4e-12
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(sensor=sensors, theta_deg=st.floats(35.0, 89.5), spread=st.floats(0.0, 20.0),
        fraction=st.floats(0.001, 0.999))
 def test_the_split_kernel_has_the_bits_of_the_whole_one(sensor, theta_deg, spread, fraction):
-    """Film terms plus the analyte part are the Airy kernel bit for bit, over
-    a few angles against a two-row grid of indices as the flank search asks
-    for them, and so is the closed form with its grid terms split off."""
+    """The kernel is its one-function form bit for bit, over a few angles
+    against a two-row grid of indices; the per-angle rows of a few angles
+    formed in one array pass are those of each angle alone, bit for bit, so a
+    lockstep search does each one-angle search's arithmetic; and the
+    closed-form reflectance from array terms is the scalar one to rounding."""
     thetas = np.linspace(theta_deg, min(theta_deg + spread, 89.5), 5)
     eps1, eps2 = sensor.eps_prism, sensor.metal_permittivity
     k0 = 2.0 * math.pi / sensor.wavelength_nm
     k_x = tangential_wavevector(sensor, IncidenceGeometry(thetas))
     n = fraction * sensor.n_prism * np.stack([np.sin(np.radians(thetas)), np.ones(5)])
     args = (eps1, eps2, n * n, sensor.thickness_nm, k0, k_x)
-    split = _analyte_rsp(_film_terms(eps1, eps2, sensor.thickness_nm, k0, k_x), n * n)
-    assert np.array_equal(split, _rsp(*args))
-    assert np.array_equal(split, _unsplit_rsp(*args))
+    assert np.array_equal(_rsp(*args), _unsplit_rsp(*args))
+    rows = _tir_slope_terms(sensor, thetas)
+    for theta, row in zip(thetas.tolist(), rows):
+        assert np.array_equal(_tir_slope_terms(sensor, [theta])[0], row)
     top = sensor.n_prism * math.sin(math.radians(theta_deg)) - _TIR_MARGIN
     grid = np.linspace(fraction * top, top, 41)
-    assert np.array_equal(_tir_reflectance(sensor, theta_deg, grid),
-                          _unsplit_tir_reflectance(sensor, theta_deg, grid))
-
-
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(sensor=sensors, theta_deg=st.floats(35.0, 89.5), spread=st.floats(0.0, 20.0),
-       h=st.floats(1e-9, _TIR_MARGIN / 2),
-       fractions=st.lists(st.floats(0.01, 0.99), min_size=7, max_size=7))
-def test_the_golden_section_objective_is_minus_the_sensitivity(sensor, theta_deg, spread, h,
-                                                                fractions):
-    """The lockstep golden section's objective, built from the angles' film
-    terms, is ``-|sensitivity|`` bit for bit at every angle."""
-    geom = IncidenceGeometry(np.linspace(theta_deg, min(theta_deg + spread, 89.5), 7))
-    film = _film_terms(sensor.eps_prism, sensor.metal_permittivity, sensor.thickness_nm,
-                       2.0 * math.pi / sensor.wavelength_nm, tangential_wavevector(sensor, geom))
-    n = h + np.array(fractions) * (sensor.n_prism - 2.0 * h)
-    assert np.array_equal(_steepness(film, n, h), -abs(sensitivity(sensor, geom, n, h)))
+    np.testing.assert_allclose(_tir_reflectance(sensor, theta_deg, grid),
+                               _unsplit_tir_reflectance(sensor, theta_deg, grid),
+                               rtol=ROW_FORM_RTOL, atol=0)
 
 
 # A film with gain can put a pole of r_sp next to the real index axis, where
@@ -219,3 +216,39 @@ def test_the_closed_form_slope_is_the_derivative_of_the_reflectance(sensor, thet
     assert np.all(abs(slope - central) <= 1e-5 * np.maximum(1.0, abs(central)) + step_error)
     richardson = _richardson_slope(sensor, theta_deg, n, 2e-6)[trusted]
     assert np.all(abs(slope - richardson) <= 1e-8 * np.maximum(1.0, abs(richardson)))
+
+
+# The Richardson difference of the slope at h = 1e-6 and 2e-6 carries rounding
+# of about eps |dR/dn| / h.  In one-off runs over 20000 random sensors drawn
+# like ``sensors``, the worst disagreement was 3.2e-8 of the grid's largest
+# |d2R/dn2|; the bound is about ten times that.
+CURVATURE_RTOL = 3e-7
+
+
+def _closed_form_curvature(sensor, theta_deg, n):
+    """``d2R/dn2`` over indices ``n`` at one angle, from :func:`_tir_curvature`,
+    which gives it times ``n**2 D**3``."""
+    cols = _tir_slope_terms(sensor, [theta_deg] * len(n)).T
+    beta = np.sqrt(cols[1] - n * n * cols[0]) / (n * n)
+    den = cols[5] + beta * (cols[6] + beta * cols[7])
+    return _tir_curvature(cols, n) / (n * n * den ** 3)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(sensor=sensors, theta_deg=st.floats(35.0, 89.5), fraction=st.floats(0.01, 0.999))
+def test_the_closed_form_curvature_is_the_derivative_of_the_slope(sensor, theta_deg, fraction):
+    """Over indices under total internal reflection up to the scan's margin
+    below the crossover, the closed-form ``d2R/dn2`` that the refinement
+    solves agrees with a Richardson difference of the closed-form ``dR/dn``
+    within CURVATURE_RTOL of the largest ``|d2R/dn2|`` on the grid."""
+    top = sensor.n_prism * math.sin(math.radians(theta_deg)) - _TIR_MARGIN
+    n = np.linspace(fraction * top, top, 41)
+    trusted = _tir_reflectance(sensor, theta_deg, n) <= TRUSTED_REFLECTANCE
+    curvature = _closed_form_curvature(sensor, theta_deg, n)[trusted]
+
+    def central(step):
+        return (_closed_form_slope(sensor, theta_deg, n + step)
+                - _closed_form_slope(sensor, theta_deg, n - step)) / (2.0 * step)
+    richardson = ((4.0 * central(1e-6) - central(2e-6)) / 3.0)[trusted]
+    scale = np.max(abs(richardson), initial=1.0)
+    assert np.all(abs(curvature - richardson) <= CURVATURE_RTOL * scale)
