@@ -10,7 +10,7 @@ from plasmonq.materials import GOLD_DRUDE_LORENTZ, gold_dispersion
 
 # In one-off runs the search landed within 4.5e-16 of n* at the 16 sampled
 # default angles and at 65 angles on 44 random sensors drawn as below; the
-# golden section it replaced was up to 4.6e-8 away at the default angles.
+# golden section it replaced was up to 4.4e-8 away at the default angles.
 N_STAR_TOL = 1e-12
 BRACKET = 1e-6  # the half-width of the reference's own bracket around n_inf
 
