@@ -222,10 +222,21 @@ def _jsonable(value):
     return value
 
 
+def _cell_text(column: list):
+    """``map(str, column)``, calling ``str`` once per distinct object of ``column``.
+    Objects are told apart by ``id``, not by value: 0.0 and -0.0, or 2 and 2.0, are
+    equal but print differently."""
+    ids = list(map(id, column))
+    distinct = dict(zip(ids, column))
+    if len(distinct) == len(ids):
+        return map(str, column)
+    return map(dict(zip(distinct, map(str, distinct.values()))).__getitem__, ids)
+
+
 def _emit(args: argparse.Namespace, columns: dict[str, list]) -> None:
     """Write ``columns`` (name to values) as CSV or JSON; no CSV cell is quoted."""
     if args.format == "csv":
-        cells = zip(*(map(str, column) for column in columns.values()), strict=True)
+        cells = zip(*map(_cell_text, columns.values()), strict=True)
         text = "\n".join([",".join(columns), *map(",".join, cells), ""])
     else:
         values = [[_jsonable(v) for v in column] for column in columns.values()]

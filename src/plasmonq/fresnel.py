@@ -327,8 +327,9 @@ def _golden_minimize(f, a, b, tol: float):
     """Golden-section minimum of a unimodal f on [a, b] to absolute x tolerance.
 
     Arrays of brackets run in lockstep, one call of ``f`` on all rows per
-    iteration; a row within ``tol`` is frozen, so each row does exactly the
-    arithmetic of its own scalar search.  Scalar brackets are the 0-d case.
+    iteration; a row within ``tol``, or with no float strictly inside its bracket,
+    is frozen, so each row does exactly the arithmetic of its own scalar search.
+    Scalar brackets are the 0-d case.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = (np.array(v, dtype=float) for v in np.broadcast_arrays(a, b))
@@ -336,7 +337,7 @@ def _golden_minimize(f, a, b, tol: float):
     d = np.array(a + invphi * (b - a))
     fc = np.array(f(c), dtype=float)
     fd = np.array(f(d), dtype=float)
-    while (live := (b - a) > tol).any():
+    while (live := ((b - a) > tol) & (np.nextafter(a, b) < b)).any():
         left = live & (fc < fd)  # the minimum lies in [a, d]
         right = live & ~(fc < fd)  # the minimum lies in [c, b]
         b[left], d[left], fd[left] = d[left], c[left], fc[left]
@@ -375,16 +376,12 @@ def _illinois_root(f, a, b, tol: float):
     return a + np.divide(fa, fa - fb, out=np.full_like(a, 0.5), where=straddle) * (b - a)
 
 
-def _grid_bracket(f, lo: float, hi: float, grid_points: int, what: str,
-                  grid=None) -> tuple[float, float]:
-    """The two grid cells around the minimum of ``f`` on a uniform grid over
-    [lo, hi] (``grid``, if the caller has built it), from one array call of ``f``.
-
-    Raises :class:`NoInteriorExtremumError` when the grid minimum sits on a
-    boundary.
-    """
+def _grid_bracket(f, lo: float, hi: float, grid_points: int, what: str) -> tuple[float, float]:
+    """The two grid cells around the minimum of ``f`` on a uniform grid over [lo, hi],
+    from one array call of ``f``.  Raises :class:`NoInteriorExtremumError` when the
+    grid minimum sits on a boundary."""
     step = (hi - lo) / (grid_points - 1)
-    i_min = int(np.argmin(f(lo + np.arange(grid_points) * step if grid is None else grid)))
+    i_min = int(np.argmin(f(lo + np.arange(grid_points) * step)))
     if i_min == 0 or i_min == grid_points - 1:
         raise NoInteriorExtremumError(f"{what} at grid boundary ({lo + i_min * step:.6f})")
     return lo + (i_min - 1) * step, lo + (i_min + 1) * step
@@ -436,6 +433,9 @@ def sensitivity(
 # (n = n_prism sin theta), and |dR/dn| diverges there, so any argmax of it would
 # lock onto it.  The sensor operates under total internal reflection, below it.
 _TIR_MARGIN = 1e-3
+# Angles per steep-flank scan call.  A block holds about seven arrays of
+# _SCAN_BLOCK x grid_points floats, 0.7 MB at the default 2001 points.
+_SCAN_BLOCK = 6
 
 
 def inflection_index(
@@ -467,8 +467,9 @@ def inflection_index(
 def _steepest_flank(stack: Sensor, thetas, n_range: tuple[float, float],
                     tol: float, h: float, grid_points: int) -> list:
     """:func:`inflection_index` at each angle of ``thetas``: its ``n_inf``, or the
-    :class:`NoInteriorExtremumError` raised there.  Each angle's grid is scanned
-    by :func:`_tir_slope_on_grid`; one lockstep solve refines every bracket."""
+    :class:`NoInteriorExtremumError` raised there.  :func:`_tir_slope_on_grid` scans
+    ``_SCAN_BLOCK`` angles' grids a call, each value with the bits of a one-angle
+    call; one lockstep solve refines every bracket."""
     if h <= 0.0:
         raise ValueError("finite-difference step h must be positive")
     lo, hi = n_range
@@ -478,32 +479,31 @@ def _steepest_flank(stack: Sensor, thetas, n_range: tuple[float, float],
         raise ValueError("grid_points must be at least 3")
     IncidenceGeometry(thetas)  # checks every angle, once
     k0 = 2.0 * math.pi / stack.wavelength_nm
-    latest = None  # the latest top, whose grid n, n**2 and n**2 k0**2 are held in `grid`
-
     rows = _tir_slope_terms(stack, thetas)
-    found = []  # per angle: its bracket, then its n_inf, or why it is skipped
-    for theta, row in zip(thetas, rows):
-        n_critical = stack.n_prism * math.sin(math.radians(theta))
-        top = min(hi, n_critical - _TIR_MARGIN)
-        try:
-            if top <= lo:
-                raise NoInteriorExtremumError(
-                    f"no total-internal-reflection window above n={lo} at "
-                    f"theta={theta} deg (crossover at {n_critical:.6f})"
-                )
-            if latest != top:  # most angles share top = hi
-                n = lo + np.arange(grid_points) * ((top - lo) / (grid_points - 1))
-                latest, grid = top, (n, n * n, n * n * (k0 * k0))
-            slope = _tir_slope_on_grid(row.tolist(), grid)  # floats beat numpy scalars here
-            np.copysign(slope, -1.0, out=slope)  # -|dR/dn|, in place
-            found.append(_grid_bracket(lambda _: slope, lo, top, grid_points,
-                                       "steepest flank at n", grid[0]))
-        except NoInteriorExtremumError as exc:
-            found.append(exc)
-    kept = [i for i, item in enumerate(found) if isinstance(item, tuple)]
-    a, b = np.reshape([found[i] for i in kept], (-1, 2)).T
+    # libm's sin through map: numpy's vector sin may round differently
+    n_critical = stack.n_prism * np.fromiter(map(math.sin, map(math.radians, thetas)), float)
+    top = np.minimum(hi, n_critical - _TIR_MARGIN)
+    step = (top - lo) / (grid_points - 1)
+    ramp = np.arange(grid_points)
+    flat = lo + ramp * ((hi - lo) / (grid_points - 1))  # the grid of every angle whose top is hi
+    scanned = np.flatnonzero(top > lo)
+    scanned = scanned[np.argsort(top[scanned] < hi, kind="stable")]  # top == hi first
+    peak = np.zeros(len(rows), dtype=int)  # each angle's first argmax of |dR/dn|
+    for block in np.split(scanned, range(_SCAN_BLOCK, len(scanned), _SCAN_BLOCK)):
+        n = flat if (top[block] == hi).all() else lo + ramp * step[block, None]
+        peak[block] = abs(_tir_slope_on_grid(rows[block].T[..., None],
+                                             (n, n * n, n * n * (k0 * k0)))).argmax(axis=1)
+    interior = (top > lo) & (0 < peak) & (peak < grid_points - 1)
+    found = [None] * len(rows)  # per angle: its n_inf, or why it is skipped
+    for i in np.flatnonzero(~interior).tolist():
+        found[i] = NoInteriorExtremumError(
+            f"no total-internal-reflection window above n={lo} at theta={thetas[i]} deg "
+            f"(crossover at {n_critical[i]:.6f})" if top[i] <= lo else
+            f"steepest flank at n at grid boundary ({lo + peak[i] * step[i]:.6f})")
+    kept = np.flatnonzero(interior)
+    a, b = lo + (peak[kept] - 1) * step[kept], lo + (peak[kept] + 1) * step[kept]
     cols = rows[kept].T
     n_inf = _illinois_root(lambda n: _tir_curvature(cols, n), a, b, tol)
-    for i, n in zip(kept, n_inf.tolist()):
+    for i, n in zip(kept.tolist(), n_inf.tolist()):
         found[i] = n
     return found

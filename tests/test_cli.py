@@ -562,6 +562,32 @@ def test_emit_matches_the_per_row_writers(capsys, fmt):
         assert capsys.readouterr().out == reference(list(columns), rows)
 
 
+def test_emit_formats_each_cell_as_str_does(capsys):
+    """CSV cells equal ``str`` of each value even where one object fills many
+    cells: equal values that print differently (0.0 and -0.0, 2 and 2.0) or
+    that are distinct objects stay apart.  The JSON text is unchanged."""
+    shared, twin = 1.3847878755107959, float("1.3847878755107959")
+    assert shared is not twin
+    columns = {
+        "shared": [shared, twin, shared, shared, twin, 0.1 + 0.2],
+        "zeros": [0.0, -0.0, 0.0, -0.0, -0.0, 0.0],
+        "two": [2, 2.0, 2, 2.0, True, 1],
+        "special": [math.nan, math.inf, float("nan"), math.nan, -math.inf, math.inf],
+        "label": ["tmsv", "tmsv", "coherent", "tmsv", "tmsv", "coherent"],
+        "distinct": [float(i) / 7.0 for i in range(6)],
+    }
+    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    plain = "\n".join([",".join(columns), *(",".join(map(str, row))
+                                            for row in zip(*columns.values())), ""])
+    _emit(argparse.Namespace(format="csv", out="-"), columns)
+    out = capsys.readouterr().out
+    assert out == plain == _reference_csv(list(columns), rows)
+    assert out.splitlines()[1:3] == ["1.3847878755107959,0.0,2,nan,tmsv,0.0",
+                                     "1.3847878755107959,-0.0,2.0,inf,tmsv,0.14285714285714285"]
+    _emit(argparse.Namespace(format="json", out="-"), columns)
+    assert capsys.readouterr().out == _reference_json(list(columns), rows)
+
+
 HELP_LINES = {
     "reflectance": "reflectance vs incidence angle, one curve per analyte index",
     "index-sweep": "reflectance and its index-derivative vs analyte index",

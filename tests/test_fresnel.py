@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from plasmonq import fresnel
 from plasmonq.fresnel import (
     FresnelSingularityError,
     IncidenceGeometry,
@@ -19,6 +20,7 @@ from plasmonq.fresnel import (
     _illinois_root,
     _rsp,
     _steepest_flank,
+    _tir_curvature,
     _tir_slope_on_grid,
     _tir_slope_terms,
     inflection_index,
@@ -358,7 +360,7 @@ def _golden_loop(f, a, b, tol):
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > tol:
+    while (b - a) > tol and math.nextafter(a, b) < b:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -385,6 +387,42 @@ def test_golden_minimizer_rows_match_their_scalar_searches():
         scalar = _golden_minimize(f, a[i], b[i], tol)
         assert got[i] == scalar == _golden_loop(f, float(a[i]), float(b[i]), tol)
     assert got[-1] == 0.5 * (a[-1] + b[-1])
+
+
+def _counted(f, limit=500):
+    """``f``, raising once it has been called more than ``limit`` times, so that
+    a search that never stops fails instead of hanging."""
+    calls = 0
+
+    def once(*args):
+        nonlocal calls
+        calls += 1
+        if calls > limit:
+            raise RuntimeError(f"the search did not stop within {limit} calls")
+        return f(*args)
+
+    return once
+
+
+def test_golden_section_stops_when_no_float_is_left_inside():
+    # tol = 0 cannot be met: once a bracket's ends are neighbouring floats, the
+    # probes land on them and the bracket stops shrinking
+    root = math.sqrt(2.0)
+    got = _golden_minimize(_counted(lambda x: (x - root) * (x - root)), 1.0, 2.0, 0.0)
+    assert abs(got - root) <= 4 * math.ulp(root)
+    plants = np.array([root, 0.3, 7.0])
+    rows = _golden_minimize(_counted(lambda x: (x - plants) * (x - plants)),
+                            np.array([1.0, 0.0, 6.0]), np.array([2.0, 1.0, 8.0]), 0.0)
+    for got, plant, a, b in zip(rows.tolist(), plants.tolist(), [1.0, 0.0, 6.0], [2.0, 1.0, 8.0]):
+        assert got == _golden_loop(lambda x: (x - plant) * (x - plant), a, b, 0.0)
+        assert abs(got - plant) <= 4 * math.ulp(plant)
+
+
+def test_resonance_angle_returns_at_zero_tolerance(monkeypatch):
+    # every objective call of the search is one reflection call
+    monkeypatch.setattr(fresnel, "reflection", _counted(reflection))
+    got = resonance_angle(make_stack(n_analyte=1.39), tol=0.0)
+    assert got == pytest.approx(RES_ANGLE_139, abs=1e-6)
 
 
 def _illinois_loop(f, a, b, tol):
@@ -671,3 +709,93 @@ def test_the_scan_holds_one_index_grid_at_a_time():
         tracemalloc.stop()
     assert sum(isinstance(n_inf, float) for n_inf in found) > 300
     assert peak < 1_000_000
+
+
+def _per_angle_flank(stack, thetas, n_range, tol, grid_points):
+    """The steep-flank search with one :func:`_tir_slope_on_grid` call, one
+    grid and one :func:`_grid_bracket` per angle: the reference for the scan
+    in blocks of angles."""
+    lo, hi = n_range
+    k0 = 2.0 * math.pi / stack.wavelength_nm
+    rows = _tir_slope_terms(stack, thetas)
+    found = []
+    for theta, row in zip(thetas, rows.tolist()):
+        n_critical = stack.n_prism * math.sin(math.radians(theta))
+        top = min(hi, n_critical - _TIR_MARGIN)
+        if top <= lo:
+            found.append(NoInteriorExtremumError(
+                f"no total-internal-reflection window above n={lo} at "
+                f"theta={theta} deg (crossover at {n_critical:.6f})"))
+            continue
+        n = lo + np.arange(grid_points) * ((top - lo) / (grid_points - 1))
+        slope = _tir_slope_on_grid(row, (n, n * n, n * n * (k0 * k0)))
+        try:
+            found.append(_grid_bracket(lambda _: -abs(slope), lo, top, grid_points,
+                                       "steepest flank at n"))
+        except NoInteriorExtremumError as exc:
+            found.append(exc)
+    kept = [i for i, item in enumerate(found) if isinstance(item, tuple)]
+    a, b = np.reshape([found[i] for i in kept], (-1, 2)).T
+    cols = rows[kept].T
+    n_inf = _illinois_root(lambda n: _tir_curvature(cols, n), a, b, tol)
+    for i, n in zip(kept, n_inf.tolist()):
+        found[i] = n
+    return found
+
+
+@pytest.mark.parametrize("grid_points", [3, 11, 201, 2001])
+def test_the_blocked_scan_has_the_bits_of_the_per_angle_loop(grid_points):
+    """Seeded sensors on both gold sources and on a film with gain, angle
+    counts that are not a multiple of the block, in shuffled order, each list
+    holding angles whose top of the scan is ``hi``, lies inside the range and
+    lies at or below ``lo``: every ``n_inf`` is the per-angle loop's, with
+    ``==``, and every skip has its type and message."""
+    rng = np.random.default_rng(grid_points)
+    outcomes = set()
+    for case, count in enumerate([1, 5, 7, 11, 13, 23, 37]):
+        n_prism = float(rng.uniform(1.45, 1.8))
+        metal = [gold_dispersion(), GOLD_DRUDE_LORENTZ, -11.7 - 1.2j][case % 3]
+        sensor = Sensor(n_prism, metal, float(rng.uniform(35.0, 65.0)),
+                        float(rng.uniform(600.0, 1000.0)))
+        lo = float(rng.uniform(1.0, 1.34))
+        hi = min(lo + float(rng.choice([0.01, 0.05, 0.2])), n_prism - 0.01)
+        edges = [math.degrees(math.asin((n + _TIR_MARGIN) / n_prism)) for n in (lo, hi)]
+        # one angle with top <= lo, one with lo < top < hi, one with top == hi
+        thetas = [edges[0] - 1.0, 0.5 * (edges[0] + edges[1]), min(edges[1] + 1.0, 89.9)]
+        thetas += rng.uniform(edges[0] - 5.0, min(edges[1] + 10.0, 89.9), count).tolist()
+        thetas = rng.permutation(thetas)
+        if case % 2:
+            thetas = thetas.tolist()
+        got = _steepest_flank(sensor, thetas, (lo, hi), 1e-9, 1e-6, grid_points)
+        want = _per_angle_flank(sensor, thetas, (lo, hi), 1e-9, grid_points)
+        assert len(got) == len(want) == count + 3
+        for theta, g, w in zip(thetas, got, want):
+            assert type(g) is type(w), (case, theta, g, w)
+            if isinstance(w, NoInteriorExtremumError):
+                assert str(g) == str(w), (case, theta)
+                outcomes.add("no TIR window" if "total-internal" in str(w) else "boundary")
+            else:
+                assert g == w, (case, theta)
+                outcomes.add("interior")
+    assert outcomes == {"interior", "boundary", "no TIR window"}
+
+
+def test_the_blocked_scan_of_the_default_angles_has_the_bits_of_the_per_angle_loop():
+    # 361 angles, some of whose tops are hi and some not, on a range with and
+    # one without skips, in blocks of any size
+    def outcomes(found):
+        return [(type(x), str(x)) if isinstance(x, Exception) else x for x in found]
+
+    stack = make_stack()
+    thetas = np.linspace(65.5, 83.5, 361).tolist()
+    kinds = set()
+    for n_range in [(1.30, 1.4422), (1.38, 1.4422)]:
+        want = outcomes(_per_angle_flank(stack, thetas, n_range, 1e-9, 2001))
+        kinds.update(type(x) for x in want)
+        for block in [1, 4, fresnel._SCAN_BLOCK, 360, 361]:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(fresnel, "_SCAN_BLOCK", block)
+                got = _steepest_flank(stack, thetas, n_range, 1e-9, 1e-6, 2001)
+            assert outcomes(got) == want
+    assert kinds == {float, tuple}
+    assert _steepest_flank(stack, [], (1.30, 1.4422), 1e-9, 1e-6, 2001) == []
