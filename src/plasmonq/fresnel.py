@@ -433,9 +433,9 @@ def sensitivity(
 # (n = n_prism sin theta), and |dR/dn| diverges there, so any argmax of it would
 # lock onto it.  The sensor operates under total internal reflection, below it.
 _TIR_MARGIN = 1e-3
-# Angles per steep-flank scan call.  A block holds about seven arrays of
-# _SCAN_BLOCK x grid_points floats, 0.7 MB at the default 2001 points.
-_SCAN_BLOCK = 6
+# Floats per array of a steep-flank scan call: under 64 KiB, which glibc frees without
+# trimming its heap (5 rows of 2001 points were paged back in on every call).
+_SCAN_FLOATS = 8190
 
 
 def inflection_index(
@@ -468,8 +468,8 @@ def _steepest_flank(stack: Sensor, thetas, n_range: tuple[float, float],
                     tol: float, h: float, grid_points: int) -> list:
     """:func:`inflection_index` at each angle of ``thetas``: its ``n_inf``, or the
     :class:`NoInteriorExtremumError` raised there.  :func:`_tir_slope_on_grid` scans
-    ``_SCAN_BLOCK`` angles' grids a call, each value with the bits of a one-angle
-    call; one lockstep solve refines every bracket."""
+    a block of angles' grids a call, each value with the bits of a one-angle call;
+    one lockstep solve refines every bracket."""
     if h <= 0.0:
         raise ValueError("finite-difference step h must be positive")
     lo, hi = n_range
@@ -487,9 +487,9 @@ def _steepest_flank(stack: Sensor, thetas, n_range: tuple[float, float],
     ramp = np.arange(grid_points)
     flat = lo + ramp * ((hi - lo) / (grid_points - 1))  # the grid of every angle whose top is hi
     scanned = np.flatnonzero(top > lo)
-    scanned = scanned[np.argsort(top[scanned] < hi, kind="stable")]  # top == hi first
     peak = np.zeros(len(rows), dtype=int)  # each angle's first argmax of |dR/dn|
-    for block in np.split(scanned, range(_SCAN_BLOCK, len(scanned), _SCAN_BLOCK)):
+    rows_per_call = max(1, _SCAN_FLOATS // grid_points)
+    for block in np.split(scanned, range(rows_per_call, len(scanned), rows_per_call)):
         n = flat if (top[block] == hi).all() else lo + ramp * step[block, None]
         peak[block] = abs(_tir_slope_on_grid(rows[block].T[..., None],
                                              (n, n * n, n * n * (k0 * k0)))).argmax(axis=1)

@@ -749,7 +749,8 @@ def test_the_blocked_scan_has_the_bits_of_the_per_angle_loop(grid_points):
     counts that are not a multiple of the block, in shuffled order, each list
     holding angles whose top of the scan is ``hi``, lies inside the range and
     lies at or below ``lo``: every ``n_inf`` is the per-angle loop's, with
-    ``==``, and every skip has its type and message."""
+    ``==``, and every skip has its type and message, at the default block and
+    at three angles a call."""
     rng = np.random.default_rng(grid_points)
     outcomes = set()
     for case, count in enumerate([1, 5, 7, 11, 13, 23, 37]):
@@ -766,10 +767,14 @@ def test_the_blocked_scan_has_the_bits_of_the_per_angle_loop(grid_points):
         thetas = rng.permutation(thetas)
         if case % 2:
             thetas = thetas.tolist()
-        got = _steepest_flank(sensor, thetas, (lo, hi), 1e-9, 1e-6, grid_points)
         want = _per_angle_flank(sensor, thetas, (lo, hi), 1e-9, grid_points)
-        assert len(got) == len(want) == count + 3
-        for theta, g, w in zip(thetas, got, want):
+        got = _steepest_flank(sensor, thetas, (lo, hi), 1e-9, 1e-6, grid_points)
+        with pytest.MonkeyPatch.context() as patch:  # three angles a call
+            patch.setattr(fresnel, "_SCAN_FLOATS", 3 * grid_points)
+            small = _steepest_flank(sensor, thetas, (lo, hi), 1e-9, 1e-6, grid_points)
+        assert len(got) == len(small) == len(want) == count + 3
+        for theta, g, s, w in zip(thetas, got, small, want):
+            assert (type(s), str(s)) == (type(g), str(g)), (case, theta)
             assert type(g) is type(w), (case, theta, g, w)
             if isinstance(w, NoInteriorExtremumError):
                 assert str(g) == str(w), (case, theta)
@@ -782,7 +787,7 @@ def test_the_blocked_scan_has_the_bits_of_the_per_angle_loop(grid_points):
 
 def test_the_blocked_scan_of_the_default_angles_has_the_bits_of_the_per_angle_loop():
     # 361 angles, some of whose tops are hi and some not, on a range with and
-    # one without skips, in blocks of any size
+    # one without skips, in blocks of any size (the default is 4 angles)
     def outcomes(found):
         return [(type(x), str(x)) if isinstance(x, Exception) else x for x in found]
 
@@ -792,9 +797,10 @@ def test_the_blocked_scan_of_the_default_angles_has_the_bits_of_the_per_angle_lo
     for n_range in [(1.30, 1.4422), (1.38, 1.4422)]:
         want = outcomes(_per_angle_flank(stack, thetas, n_range, 1e-9, 2001))
         kinds.update(type(x) for x in want)
-        for block in [1, 4, fresnel._SCAN_BLOCK, 360, 361]:
+        assert outcomes(_steepest_flank(stack, thetas, n_range, 1e-9, 1e-6, 2001)) == want
+        for block in [1, 6, 360, 361]:
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(fresnel, "_SCAN_BLOCK", block)
+                patch.setattr(fresnel, "_SCAN_FLOATS", block * 2001)
                 got = _steepest_flank(stack, thetas, n_range, 1e-9, 1e-6, 2001)
             assert outcomes(got) == want
     assert kinds == {float, tuple}
