@@ -219,21 +219,21 @@ def _tir_slope_terms(sensor: Sensor, thetas):
                      abs(s) ** 2, 2.0 * (s * np.conj(t)).imag, abs(t) ** 2], axis=1)
 
 
-def _tir_slope_on_grid(row, grid):
+def _tir_slope_on_grid(row, grid, out=(None,) * 4):
     """``dR/dn = C G / (n D**2)`` at the angle of ``row`` over ``grid = (n, n**2, n**2
     k0**2)``, since ``d beta/dn = -G / n`` with ``G = k0**2 / kappa + 2 beta``.  Four
-    arrays are allocated; every other step works in place, in that formula's order."""
+    arrays are allocated or taken from ``out``; all else is in place, in that order."""
     kk, kx2, c0, c1, c2, d0, d1, d2 = row
     n, n2, n2kk = grid
-    kappa = np.subtract(kx2, n2kk)
-    beta = np.sqrt(kappa, out=kappa) / n2
-    den = beta * d2  # D = d0 + beta (d1 + beta d2)
+    kappa = np.subtract(kx2, n2kk, out=out[0])
+    beta = np.divide(np.sqrt(kappa, out=kappa), n2, out=out[1])
+    den = np.multiply(beta, d2, out=out[2])  # D = d0 + beta (d1 + beta d2)
     den += d1
     den *= beta
     den += d0
     if not den.all():
         raise FresnelSingularityError("vanishing composite denominator for stack 1|2|3")
-    num = beta * c2  # C = c0 + beta (c1 + beta c2)
+    num = np.multiply(beta, c2, out=out[3])  # C = c0 + beta (c1 + beta c2)
     num += c1
     num *= beta
     num += c0
@@ -326,10 +326,9 @@ def transfer_matrix_reflection(layers, k_x, wavelength_nm: float):
 def _golden_minimize(f, a, b, tol: float):
     """Golden-section minimum of a unimodal f on [a, b] to absolute x tolerance.
 
-    Arrays of brackets run in lockstep, one call of ``f`` on all rows per
-    iteration; a row within ``tol``, or with no float strictly inside its bracket,
-    is frozen, so each row does exactly the arithmetic of its own scalar search.
-    Scalar brackets are the 0-d case.
+    Arrays of brackets run in lockstep, one call of ``f`` on all rows per iteration;
+    a row within ``tol`` or with no float inside is frozen, so each row does exactly
+    the arithmetic of its own scalar search.  Scalar brackets are the 0-d case.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = (np.array(v, dtype=float) for v in np.broadcast_arrays(a, b))
@@ -376,17 +375,6 @@ def _illinois_root(f, a, b, tol: float):
     return a + np.divide(fa, fa - fb, out=np.full_like(a, 0.5), where=straddle) * (b - a)
 
 
-def _grid_bracket(f, lo: float, hi: float, grid_points: int, what: str) -> tuple[float, float]:
-    """The two grid cells around the minimum of ``f`` on a uniform grid over [lo, hi],
-    from one array call of ``f``.  Raises :class:`NoInteriorExtremumError` when the
-    grid minimum sits on a boundary."""
-    step = (hi - lo) / (grid_points - 1)
-    i_min = int(np.argmin(f(lo + np.arange(grid_points) * step)))
-    if i_min == 0 or i_min == grid_points - 1:
-        raise NoInteriorExtremumError(f"{what} at grid boundary ({lo + i_min * step:.6f})")
-    return lo + (i_min - 1) * step, lo + (i_min + 1) * step
-
-
 def resonance_angle(
     stack: KretschmannStack,
     theta_range: tuple[float, float] = (65.5, 83.5),
@@ -407,8 +395,12 @@ def resonance_angle(
     def refl(theta):
         return abs(reflection(stack, theta, stack.n_analyte)) ** 2
 
-    bracket = _grid_bracket(refl, lo, hi, grid_points, "reflectance minimum at theta")
-    return float(_golden_minimize(refl, *bracket, tol))
+    step = (hi - lo) / (grid_points - 1)  # the grid's two cells around its minimum bracket it
+    i_min = int(np.argmin(refl(lo + np.arange(grid_points) * step)))
+    if i_min == 0 or i_min == grid_points - 1:
+        raise NoInteriorExtremumError(
+            f"reflectance minimum at theta at grid boundary ({lo + i_min * step:.6f})")
+    return float(_golden_minimize(refl, lo + (i_min - 1) * step, lo + (i_min + 1) * step, tol))
 
 
 def sensitivity(
@@ -433,9 +425,9 @@ def sensitivity(
 # (n = n_prism sin theta), and |dR/dn| diverges there, so any argmax of it would
 # lock onto it.  The sensor operates under total internal reflection, below it.
 _TIR_MARGIN = 1e-3
-# Floats per array of a steep-flank scan call: under 64 KiB, which glibc frees without
-# trimming its heap (5 rows of 2001 points were paged back in on every call).
-_SCAN_FLOATS = 8190
+# Floats per work array of the steep-flank scan, whose calls each take as many angles'
+# grids as fit (5 of 2001 points).  Its seven arrays are made once per search.
+_SCAN_FLOATS = 10240
 
 
 def inflection_index(
@@ -485,14 +477,21 @@ def _steepest_flank(stack: Sensor, thetas, n_range: tuple[float, float],
     top = np.minimum(hi, n_critical - _TIR_MARGIN)
     step = (top - lo) / (grid_points - 1)
     ramp = np.arange(grid_points)
-    flat = lo + ramp * ((hi - lo) / (grid_points - 1))  # the grid of every angle whose top is hi
+    n = lo + ramp * ((hi - lo) / (grid_points - 1))
+    flat = (n, n * n, n * n * (k0 * k0))  # the grid of every angle whose top is hi
     scanned = np.flatnonzero(top > lo)
     peak = np.zeros(len(rows), dtype=int)  # each angle's first argmax of |dR/dn|
-    rows_per_call = max(1, _SCAN_FLOATS // grid_points)
-    for block in np.split(scanned, range(rows_per_call, len(scanned), rows_per_call)):
-        n = flat if (top[block] == hi).all() else lo + ramp * step[block, None]
-        peak[block] = abs(_tir_slope_on_grid(rows[block].T[..., None],
-                                             (n, n * n, n * n * (k0 * k0)))).argmax(axis=1)
+    size = max(1, _SCAN_FLOATS // grid_points)  # angles a call
+    work = np.empty((7, min(size, len(scanned)), grid_points))  # no block frees its arrays
+    for block in np.split(scanned, range(size, len(scanned), size)):
+        n, n2, n2kk, *out = work[:, :len(block)]
+        if (top[block] == hi).all():
+            n, n2, n2kk = flat
+        else:  # each row as one angle's grid is built
+            np.add(lo, np.multiply(ramp, step[block, None], out=n), out=n)
+            np.multiply(np.multiply(n, n, out=n2), k0 * k0, out=n2kk)
+        slope = _tir_slope_on_grid(rows[block].T[..., None], (n, n2, n2kk), out)
+        peak[block] = np.abs(slope, out=slope).argmax(axis=1)
     interior = (top > lo) & (0 < peak) & (peak < grid_points - 1)
     found = [None] * len(rows)  # per angle: its n_inf, or why it is skipped
     for i in np.flatnonzero(~interior).tolist():
