@@ -293,7 +293,8 @@ def test_resonance_angles_match_frozen_values_and_order():
 
 
 def test_resonance_angle_on_boundary_raises():
-    with pytest.raises(NoInteriorExtremumError):
+    with pytest.raises(NoInteriorExtremumError,
+                       match=r"^reflectance minimum at theta at grid boundary \(76\.000000\)$"):
         resonance_angle(make_stack(1.39), theta_range=(76.0, 83.5))
 
 
