@@ -305,13 +305,11 @@ def cmd_precision(args: argparse.Namespace) -> int:
     states = (["coherent", "twin-fock", "tmsv"] if args.state is None
               else [state_family(args.state)])
     thetas = _theta_grid(args)
-    rows = metrology.sweep_precision_vs_angle(
+    columns = metrology._precision_columns(
         _sensor(args), thetas, states, n_photons=args.photons, eta=args.eta,
-        n_range=_index_range(args), h=args.fd_step, grid_points=args.grid_points)
-    _note_if_empty(args, thetas, rows)
-    _emit(args, {name: [row[name] for row in rows]
-                 for name in ("theta_deg", "n_inf", "state", "N", "eta",
-                              "delta_n", "slope", "noise")})
+        n_range=_index_range(args), h=args.fd_step, tol=1e-9, grid_points=args.grid_points)
+    _note_if_empty(args, thetas, columns["theta_deg"])
+    _emit(args, columns)
     return 0
 
 
@@ -328,20 +326,18 @@ def cmd_validate(args: argparse.Namespace) -> int:
         ("noon N=1", noon(1)),
         ("squeezed N=0.5", squeezed_product(0.5)),
     ]
+    r_abs = np.sqrt([0.05, 0.3, 0.5, 0.7, 0.95])  # one oracle call takes all five
     worst = 0.0
     for _, state in states:
         stats = statistics(state)
-        for r2 in (0.05, 0.3, 0.5, 0.7, 0.95):
-            for eta_a, eta_b in ((1.0, 1.0), (0.8, 0.8), (0.9, 0.6)):
-                eff = ChannelEfficiencies(eta_a, eta_b)
-                r_abs = math.sqrt(r2)
-                brute = fock_oracle.oracle_measurement(state, r_abs, eff)
-                mean = metrology.signal_mean(r_abs, eff, stats.mean_a)
-                std = metrology.signal_std(r_abs, eff, stats.mean_a,
-                                           stats.q_mandel, stats.sigma)
-                worst = max(worst,
-                            abs(brute.mean - mean) / max(1.0, abs(mean)),
-                            abs(brute.std - std) / max(1.0, std))
+        for eta_a, eta_b in ((1.0, 1.0), (0.8, 0.8), (0.9, 0.6)):
+            eff = ChannelEfficiencies(eta_a, eta_b)
+            brute = fock_oracle.oracle_measurement(state, r_abs, eff)
+            mean = metrology.signal_mean(r_abs, eff, stats.mean_a)
+            std = metrology.signal_std(r_abs, eff, stats.mean_a, stats.q_mandel, stats.sigma)
+            worst = max(worst,
+                        float(np.max(abs(brute.mean - mean) / np.maximum(1.0, abs(mean)))),
+                        float(np.max(abs(brute.std - std) / np.maximum(1.0, std))))
     checks.append(("moment formulas vs Fock-space oracle", worst, 1e-8))
 
     # 2. layered-reflection equivalence: recursive form vs transfer matrices
@@ -368,23 +364,19 @@ def cmd_validate(args: argparse.Namespace) -> int:
         worst = max(worst, float(np.max(abs(_rsp(eps1, eps2, eps3, d, k0, k_x) - matrix))))
     checks.append(("recursive vs transfer-matrix reflection", worst, 1e-10))
 
-    # 3. enhancement ratio consistent with the moment formulas
+    # 3. enhancement ratio consistent with the moment formulas, over 200 samples
+    # of (|r|, eta, Q, sigma, N) drawn row by row; a sample outside the ratio's
+    # domain (denominator <= 0) is skipped
     fault = 1.0 + 1e-3 if args.inject_fault else 1.0
-    worst = 0.0
-    for _ in range(200):
-        r_abs = rng.uniform(0.05, 0.95)
-        eta = rng.uniform(0.1, 1.0)
-        q = rng.uniform(-1.0, 3.0)
-        sig = rng.uniform(0.0, 3.0)
-        n = rng.uniform(0.5, 10.0)
-        eff = ChannelEfficiencies(eta, eta)
-        try:
-            value = metrology.ratio(r_abs, eta, q, sig) / math.sqrt(fault)
-        except metrology.MetrologyDomainError:
-            continue
-        lhs = value * metrology.signal_std(r_abs, eff, n, q, sig)
-        rhs = metrology.signal_std(r_abs, eff, n, 0.0, 1.0)
-        worst = max(worst, abs(lhs - rhs) / rhs)
+    samples = rng.uniform((0.05, 0.1, -1.0, 0.0, 0.5), (0.95, 1.0, 3.0, 3.0, 10.0), (200, 5))
+    r2, den = metrology._ratio_terms(*samples.T[:4])
+    kept = den > 0.0
+    r_abs, eta, q, sig, n = samples[kept].T
+    eff = ChannelEfficiencies(eta, eta)
+    value = np.sqrt((1.0 + r2[kept]) / den[kept]) / math.sqrt(fault)
+    lhs = value * metrology.signal_std(r_abs, eff, n, q, sig)
+    rhs = metrology.signal_std(r_abs, eff, n, 0.0, 1.0)
+    worst = max([0.0, *(abs(lhs - rhs) / rhs).tolist()])
     checks.append(("enhancement ratio vs moment formulas", worst, 1e-12))
 
     # 4. vanishing film thickness reduces to the bare prism/analyte interface

@@ -17,12 +17,13 @@ agreement between the two modules is a genuine cross-check, not a tautology.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .metrology import ChannelEfficiencies, MeasurementStats
+from .metrology import ChannelEfficiencies, MeasurementStats, _check_unit_interval
 from .quantum_states import FockCoefficients
 
 __all__ = [
@@ -77,8 +78,8 @@ def joint_distribution(state: FockCoefficients) -> JointNumberDistribution:
 _BLOCK = 64
 
 
-def _kernel_blocks(size: int, transmittance: float):
-    """``(start, L[:end, start:end])`` of ``L[k, n] = C(n, k) T^k (1-T)^(n-k)``.
+def _kernel_blocks(size: int, transmittance):
+    """``(start, L[..., :end, start:end])`` of ``L[k, n] = C(n, k) T^k (1-T)^(n-k)``.
 
     Column ``n`` is Binomial(n, T), zero below row ``n``, so column ``n0 + j``
     is column ``n0`` convolved with column ``j``.  The ``(_BLOCK + 1)^2``
@@ -86,32 +87,45 @@ def _kernel_blocks(size: int, transmittance: float):
     each later block is one product of the corner with the column before it.
     Every entry is a non-negative combination of earlier entries with weights
     summing to 1, as in the Pascal recurrence: nothing overflows at any size,
-    and entries stay exact to rounding.
+    and entries stay exact to rounding.  An array of transmittances builds one
+    kernel per element in the same products, stacked on the leading axes; a
+    scalar builds one 2-D kernel.
     """
+    transmittance = np.asarray(transmittance, dtype=float)
+    lead = transmittance.shape
     first = min(size, _BLOCK + 1)
-    corner = np.zeros((first, first))
-    corner[0, 0] = 1.0
+    corner = np.zeros(lead + (first, first))
+    corner[..., 0, 0] = 1.0
     if size > 1:
-        corner[:2, 1] = (1.0 - transmittance, transmittance)
-    # shifted[k, i] = column n0 at row k - i, gathered from a zero-padded copy
+        corner[..., 0, 1] = 1.0 - transmittance
+        corner[..., 1, 1] = transmittance
+    # shifted[..., k, i] = column n0 at row k - i, gathered from a zero-padded copy
     shift = _BLOCK + np.arange(size)[:, np.newaxis] - np.arange(_BLOCK + 1)
-    padded = np.zeros(_BLOCK + size)
+    padded = np.zeros(lead + (_BLOCK + size,))
 
     def after(column: np.ndarray, n0: int, w: int) -> np.ndarray:  # columns n0+1..n0+w
-        padded[_BLOCK:_BLOCK + n0 + 1] = column[:n0 + 1]
-        return padded[shift[:n0 + w + 1, :w + 1]] @ corner[:w + 1, 1:w + 1]
+        padded[..., _BLOCK:_BLOCK + n0 + 1] = column[..., :n0 + 1]
+        # take, not padded[..., shift]: its result is in C order, so each stacked
+        # product runs the BLAS call of a 2-D one and rounds the same way
+        gathered = padded.take(shift[:n0 + w + 1, :w + 1], axis=-1)
+        return gathered @ corner[..., :w + 1, 1:w + 1]
 
     n0 = 1
     while n0 < first - 1:
         w = min(n0, first - 1 - n0)
-        corner[:n0 + w + 1, n0 + 1:n0 + w + 1] = after(corner[:, n0], n0, w)
+        corner[..., :n0 + w + 1, n0 + 1:n0 + w + 1] = after(corner[..., n0], n0, w)
         n0 += w
     yield 0, corner
     block = corner
     while n0 < size - 1:
-        block = after(block[:, -1], n0, min(_BLOCK, size - 1 - n0))
+        block = after(block[..., -1], n0, min(_BLOCK, size - 1 - n0))
         yield n0 + 1, block
-        n0 += block.shape[1]
+        n0 += block.shape[-1]
+
+
+def _indices(shape: tuple) -> itertools.product:
+    """Every index of an array of ``shape``, as ``np.ndindex`` gives them: ``()`` for 0-d."""
+    return itertools.product(*map(range, shape))
 
 
 def _thinning_kernel(size: int, transmittance: float) -> np.ndarray:
@@ -145,31 +159,43 @@ def binomial_thinning(
     return JointNumberDistribution(thinned)
 
 
-def _count_moments(size: int, transmittance: float) -> tuple[np.ndarray, np.ndarray]:
+def _count_moments(size: int, transmittance) -> tuple[np.ndarray, np.ndarray]:
     """Mean and variance of the detected count, one entry per input count.
 
     Entry ``n`` sums column ``n`` of the explicit kernel directly: the mean
     ``sum_k k L[k, n]`` and the centred ``sum_k (k - mean[n])^2 L[k, n]``,
     each block of columns as it is built.  A lossless mode needs no kernel;
-    it keeps every count exactly.
+    it keeps every count exactly.  An array of transmittances gives one row
+    per element, from one stacked kernel build; each row is reduced on its
+    own, in the products a scalar transmittance runs.
     """
     counts = np.arange(size, dtype=float)
-    if transmittance == 1.0:
-        return counts, np.zeros(size)
-    mean, var = np.empty(size), np.empty(size)
+    transmittance = np.asarray(transmittance, dtype=float)
+    lossless = transmittance == 1.0
+    mean = np.empty(transmittance.shape + (size,))
+    var = np.zeros(transmittance.shape + (size,))
+    rows = []  # the rows that need a kernel
+    for row in _indices(transmittance.shape):
+        if lossless[row]:
+            mean[row] = counts
+        else:
+            rows.append(row)
+    if not rows:
+        return mean, var
     for start, block in _kernel_blocks(size, transmittance):
-        end = block.shape[0]  # column n is zero below row n
-        mean[start:end] = counts[:end] @ block
-        spread = counts[:end, np.newaxis] - mean[start:end]  # k - mean[n] at (k, n)
-        spread *= spread
-        spread *= block
-        var[start:end] = spread.sum(axis=0)
-        del spread  # freed before the next block is built
+        end = block.shape[-2]  # column n is zero below row n
+        for row in rows:
+            mean[row][start:end] = counts[:end] @ block[row]
+            spread = counts[:end, np.newaxis] - mean[row][start:end]  # k - mean[n] at (k, n)
+            spread *= spread
+            spread *= block[row]
+            var[row][start:end] = spread.sum(axis=0)
+            del spread  # freed before the next block is built
     return mean, var
 
 
 def oracle_measurement(
-    state: FockCoefficients, r_abs: float, eff: ChannelEfficiencies
+    state: FockCoefficients, r_abs, eff: ChannelEfficiencies
 ) -> MeasurementStats:
     """Moments of the difference ``l - k`` through the adjoint channels.
 
@@ -179,23 +205,35 @@ def oracle_measurement(
     of the conditional means.  No size^3 product is run and no thinned
     distribution is formed: ``|C|^2`` is summed over the state's nonzero
     entries, into the marginals and then into the spread.
+
+    Broadcasts over ``r_abs``: mode a's kernels for every reflectance come
+    from one stacked build, and each reflectance's sums are those of a scalar
+    call, so a float gives floats and an array gives arrays of the same bits.
     """
-    if not 0.0 <= r_abs <= 1.0:
-        raise ValueError(f"r_abs must lie in [0, 1], got {r_abs}")
-    mean_a, var_a = _count_moments(state.size, r_abs**2 * eff.eta_a**2)
+    _check_unit_interval("r_abs", r_abs)
+    r_abs = np.asarray(r_abs, dtype=float)
+    # Python's float power, as a float argument is squared: numpy's array
+    # square rounds differently from libm's pow for about 1 in 1000 values.
+    r2 = np.reshape([r**2 for r in r_abs.ravel().tolist()], r_abs.shape)
+    mean_a, var_a = _count_moments(state.size, r2 * eff.eta_a**2)
     mean_b, var_b = _count_moments(state.size, eff.eta_b**2)
     probs = np.abs(state.values)
     probs *= probs
     p_a = np.bincount(state.rows, weights=probs, minlength=state.size)
     p_b = np.bincount(state.cols, weights=probs, minlength=state.size)
-    mean = float(p_b @ mean_b - p_a @ mean_a)
-    # Law of total variance over the input counts (n, m).  The last term
-    # keeps ``E[(l - k)^2] - mean^2`` when the probabilities sum below 1.
-    spread = (mean_b - mean)[state.cols] - mean_a[state.rows]
-    spread *= spread
-    spread *= probs
-    variance = (
-        float(p_a @ var_a + p_b @ var_b + spread.sum())
-        + mean * mean * (1.0 - float(p_a.sum()))
-    )
-    return MeasurementStats(mean=mean, std=math.sqrt(max(0.0, variance)))
+    b_mean, b_var, lost = p_b @ mean_b, p_b @ var_b, 1.0 - float(p_a.sum())
+    means, stds = [], []
+    for row in _indices(r_abs.shape):
+        mean = float(b_mean - p_a @ mean_a[row])
+        # Law of total variance over the input counts (n, m).  The last term
+        # keeps ``E[(l - k)^2] - mean^2`` when the probabilities sum below 1.
+        spread = (mean_b - mean)[state.cols] - mean_a[row][state.rows]
+        spread *= spread
+        spread *= probs
+        variance = float(p_a @ var_a[row] + b_var + spread.sum()) + mean * mean * lost
+        means.append(mean)
+        stds.append(math.sqrt(max(0.0, variance)))
+    if r_abs.ndim == 0:
+        return MeasurementStats(mean=means[0], std=stds[0])
+    return MeasurementStats(mean=np.reshape(means, r_abs.shape),
+                            std=np.reshape(stds, r_abs.shape))

@@ -56,30 +56,39 @@ class DegenerateOperatingPointError(ZeroDivisionError):
     """The mean signal has zero slope here, so no index information."""
 
 
+def _check_unit_interval(name: str, value) -> None:
+    """Raise ``ValueError`` naming the first element of ``value`` outside
+    ``[0, 1]``, NaN included; ``value`` is a number or an array."""
+    value = np.asarray(value)
+    outside = value[~((value >= 0.0) & (value <= 1.0))]
+    if outside.size:
+        raise ValueError(f"{name} must lie in [0, 1], got {outside[0]}")
+
+
 @dataclass(frozen=True)
 class ChannelEfficiencies:
-    """Amplitude transmissions of the two detection channels."""
+    """Amplitude transmissions of the two detection channels; numbers or arrays."""
 
     eta_a: float
     eta_b: float
 
     def __post_init__(self):
         for name in ("eta_a", "eta_b"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+            _check_unit_interval(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
 class MeasurementStats:
-    """Mean and standard deviation of the photon-number difference."""
+    """Mean and standard deviation of the photon-number difference; numbers or arrays."""
 
     mean: float
     std: float
 
     def __post_init__(self):
-        if self.std < 0.0:
-            raise ValueError(f"std must be non-negative, got {self.std}")
+        std = np.asarray(self.std)
+        negative = std[std < 0.0]
+        if negative.size:
+            raise ValueError(f"std must be non-negative, got {negative[0]}")
 
 
 @dataclass(frozen=True)
@@ -96,13 +105,7 @@ def signal_mean(r_abs, eff: ChannelEfficiencies, n_photons: float):
     return (eff.eta_b * eff.eta_b - r_abs * r_abs * (eff.eta_a * eff.eta_a)) * n_photons
 
 
-def signal_std(
-    r_abs,
-    eff: ChannelEfficiencies,
-    n_photons: float,
-    q_mandel: float,
-    sigma: float,
-):
+def signal_std(r_abs, eff: ChannelEfficiencies, n_photons, q_mandel, sigma):
     """Standard deviation of the photon-number difference.
 
     Closed form in the input statistics,
@@ -111,20 +114,21 @@ def signal_std(
     + eta_b^2 + |r|^2 eta_a^2 (1 - 2 eta_b^2)]^(1/2)``;
 
     it agrees exactly with pushing the state through two binomial loss
-    channels (see :mod:`plasmonq.fock_oracle`).  Broadcasts over ``r_abs``;
-    a scalar gives a float.  Rounding-level negative radicands are clamped to
-    zero; genuinely negative ones (unphysical Q/sigma) raise, naming the first.
+    channels (see :mod:`plasmonq.fock_oracle`).  Broadcasts over all of its
+    arguments, the efficiencies included; scalars give a float.  Rounding-level
+    negative radicands are clamped to zero; genuinely negative ones (unphysical
+    Q/sigma) raise, naming the first.
     """
     ta = r_abs * r_abs * (eff.eta_a * eff.eta_a)  # products, as in _ratio_terms
     tb = eff.eta_b * eff.eta_b
     gap = tb - ta
     radicand = gap * gap * q_mandel + 2.0 * ta * tb * sigma + tb + ta * (1.0 - 2.0 * tb)
-    negative = np.asarray(radicand)[radicand < -1e-12]
-    if negative.size:
-        raise MetrologyDomainError(
-            f"variance came out negative ({negative[0]}) for Q={q_mandel}, sigma={sigma}"
-        )
-    std = math.sqrt(n_photons) * np.sqrt(np.maximum(radicand, 0.0))
+    negative = radicand < -1e-12
+    if np.any(negative):
+        value, q, s = (np.broadcast_to(v, np.shape(negative))[negative][0]
+                       for v in (radicand, q_mandel, sigma))
+        raise MetrologyDomainError(f"variance came out negative ({value}) for Q={q}, sigma={s}")
+    std = np.sqrt(n_photons) * np.sqrt(np.maximum(radicand, 0.0))
     return std if std.ndim else float(std)
 
 
@@ -143,15 +147,14 @@ def ratio(r_abs: float, eta: float, q_mandel: float, sigma: float) -> float:
     return math.sqrt((1.0 + r2) / den)
 
 
-def _ratio_terms(r_abs, eta: float, q_mandel: float, sigma: float):
-    """``|r|^2`` and the denominator of :func:`ratio`; ``r_abs`` may be an array.
+def _ratio_terms(r_abs, eta, q_mandel, sigma):
+    """``|r|^2`` and the denominator of :func:`ratio`; the arguments broadcast.
 
     Squares are products, not ``** 2``: Python's float power can round a
     square differently from numpy's array square, and a float and an array
     must give the same bits.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    _check_unit_interval("eta", eta)
     r2 = r_abs * r_abs
     e2 = eta * eta
     loss = 1.0 - r2
@@ -291,11 +294,13 @@ def sweep_ratio(
 
 
 def _operating_points(stack: Sensor, theta_grid, n_range: tuple[float, float],
-                      tol: float, h: float, grid_points: int) -> list[tuple[float, float]]:
+                      tol: float, h: float, grid_points: int,
+                      stacklevel: int = 3) -> list[tuple[float, float]]:
     """The ``(theta, n_inf)`` steep-flank operating points of ``theta_grid``.
 
     An angle without an interior steepest point is dropped with one warning
-    that names it, attributed to the caller of this function's caller.
+    that names it, attributed ``stacklevel`` frames up: by default to the
+    caller of this function's caller.
     """
     theta_grid = list(theta_grid)
     found = _steepest_flank(stack, [float(theta) for theta in theta_grid], n_range, tol, h,
@@ -303,7 +308,7 @@ def _operating_points(stack: Sensor, theta_grid, n_range: tuple[float, float],
     points = []
     for theta, n_inf in zip(theta_grid, found):
         if isinstance(n_inf, NoInteriorExtremumError):
-            warnings.warn(f"theta={theta} deg skipped: {n_inf}", stacklevel=3)
+            warnings.warn(f"theta={theta} deg skipped: {n_inf}", stacklevel=stacklevel)
         else:
             points.append((float(theta), n_inf))
     return points
@@ -330,6 +335,20 @@ def sweep_precision_vs_angle(
     warning; each surviving angle contributes one row per state with keys
     ``theta_deg, n_inf, state, N, eta, delta_n, slope, noise``.
     """
+    columns = _precision_columns(stack, theta_grid, states, n_photons, eta, n_range, h, tol,
+                                 grid_points, stacklevel=4)
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+
+def _precision_columns(stack: Sensor, theta_grid, states, n_photons: float, eta: float,
+                       n_range: tuple[float, float], h: float, tol: float, grid_points: int,
+                       stacklevel: int = 3) -> dict[str, list]:
+    """The rows of :func:`sweep_precision_vs_angle` as columns, name to values.
+
+    An angle's ``theta_deg`` and ``n_inf`` are one object each, repeated
+    once per state.  Skipped angles are warned of ``stacklevel`` frames up
+    from :func:`_operating_points`: by default, at this function's caller.
+    """
     resolved: list[tuple[str, PhotonStatistics]] = []
     for item in states:
         if isinstance(item, str):
@@ -338,17 +357,21 @@ def sweep_precision_vs_angle(
             label, stats = item
             resolved.append((str(label), stats))
     eff = ChannelEfficiencies(eta, eta)
-    points = _operating_points(stack, theta_grid, n_range, tol, h, grid_points)
+    points = _operating_points(stack, theta_grid, n_range, tol, h, grid_points, stacklevel)
     n_infs = np.array([n_inf for _, n_inf in points])
     r_abs = abs(reflection(stack, [theta for theta, _ in points],
                            [n_infs - h, n_infs, n_infs + h]))
-    columns = []  # one _precision_at call per state, over all angles
-    for label, stats in resolved:
-        delta_n, slope, noise = _precision_at(*r_abs, n_infs, stats, eff, h)
-        columns.append((label, stats.mean_a, delta_n.tolist(), slope.tolist(), noise.tolist()))
-    return [
-        {"theta_deg": theta, "n_inf": n_inf, "state": label, "N": n, "eta": eta,
-         "delta_n": delta_n[i], "slope": slope[i], "noise": noise[i]}
-        for i, (theta, n_inf) in enumerate(points)
-        for label, n, delta_n, slope, noise in columns
-    ]
+    # (delta_n, slope, noise) of one _precision_at call per state, over all
+    # angles, then angle by angle: (3, angles, states)
+    values = np.reshape([_precision_at(*r_abs, n_infs, stats, eff, h) for _, stats in resolved],
+                        (len(resolved), 3, len(points))).transpose(1, 2, 0)
+    states_once = range(len(resolved))
+    return {
+        "theta_deg": [theta for theta, _ in points for _ in states_once],
+        "n_inf": [n_inf for _, n_inf in points for _ in states_once],
+        "state": [label for label, _ in resolved] * len(points),
+        "N": [stats.mean_a for _, stats in resolved] * len(points),
+        "eta": [eta] * (len(resolved) * len(points)),
+        **{name: column.ravel().tolist()
+           for name, column in zip(("delta_n", "slope", "noise"), values)},
+    }

@@ -8,12 +8,18 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from plasmonq import cli
 from plasmonq.cli import _emit, main
 from plasmonq.fresnel import FresnelSingularityError
-from plasmonq.metrology import STATE_NAMES, DegenerateOperatingPointError, DivergenceError
+from plasmonq.fock_oracle import oracle_measurement
+from plasmonq.metrology import (STATE_NAMES, ChannelEfficiencies, DegenerateOperatingPointError,
+                                DivergenceError, MetrologyDomainError, ratio, signal_mean,
+                                signal_std)
+from plasmonq.quantum_states import (coherent_product, noon, squeezed_product, statistics, tmsv,
+                                     twin_fock)
 
 FAST_REFLECTANCE = ["reflectance", "--theta-min", "70", "--theta-max", "80",
                     "--theta-steps", "21"]
@@ -314,6 +320,67 @@ def test_validate_honours_out_and_format(tmp_path, capsys):
     assert [r["ok"] for r in records] == [True, True, False, True, True]
     for record in records:
         assert record["ok"] == (record["max_deviation"] <= record["tolerance"])
+
+
+def _scalar_moment_check():
+    """Check 1 of ``validate`` as it ran one (state, |r|, efficiencies) case per
+    oracle call: its largest relative deviation."""
+    states = [coherent_product(1.0), twin_fock(1), twin_fock(2), tmsv(1.0), noon(1),
+              squeezed_product(0.5)]
+    worst = 0.0
+    for state in states:
+        stats = statistics(state)
+        for r2 in (0.05, 0.3, 0.5, 0.7, 0.95):
+            for eta_a, eta_b in ((1.0, 1.0), (0.8, 0.8), (0.9, 0.6)):
+                eff = ChannelEfficiencies(eta_a, eta_b)
+                r_abs = math.sqrt(r2)
+                brute = oracle_measurement(state, r_abs, eff)
+                mean = signal_mean(r_abs, eff, stats.mean_a)
+                std = signal_std(r_abs, eff, stats.mean_a, stats.q_mandel, stats.sigma)
+                worst = max(worst,
+                            abs(brute.mean - mean) / max(1.0, abs(mean)),
+                            abs(brute.std - std) / max(1.0, std))
+    return worst
+
+
+def _scalar_ratio_check(seed, inject_fault):
+    """Check 3 of ``validate`` as it ran one sample at a time: five scalar
+    draws per sample, and a sample outside the ratio's domain skipped."""
+    rng = np.random.default_rng(seed)
+    rng.uniform(size=25)  # check 2 draws five cases of five values first
+    fault = 1.0 + 1e-3 if inject_fault else 1.0
+    worst = 0.0
+    for _ in range(200):
+        r_abs = rng.uniform(0.05, 0.95)
+        eta = rng.uniform(0.1, 1.0)
+        q = rng.uniform(-1.0, 3.0)
+        sig = rng.uniform(0.0, 3.0)
+        n = rng.uniform(0.5, 10.0)
+        eff = ChannelEfficiencies(eta, eta)
+        try:
+            value = ratio(r_abs, eta, q, sig) / math.sqrt(fault)
+        except MetrologyDomainError:
+            continue
+        lhs = value * signal_std(r_abs, eff, n, q, sig)
+        rhs = signal_std(r_abs, eff, n, 0.0, 1.0)
+        worst = max(worst, abs(lhs - rhs) / rhs)
+    return worst
+
+
+@pytest.mark.parametrize("fault", [[], ["--inject-fault"]])
+def test_validate_array_checks_equal_the_scalar_loops(capsys, fault):
+    """The moment and ratio checks run as array passes; their deviations are
+    those of the per-case loops exactly, so the draws come in the same order
+    and the same samples are skipped."""
+    moments = _scalar_moment_check()
+    for seed in range(10):
+        code, out, _ = run_cli(capsys, "validate", "--seed", str(seed), "--format", "json",
+                               *fault)
+        assert code == (1 if fault else 0)
+        records = {r["check"]: r["max_deviation"] for r in json.loads(out)}
+        assert records["moment formulas vs Fock-space oracle"] == moments
+        assert records["enhancement ratio vs moment formulas"] == _scalar_ratio_check(
+            seed, bool(fault))
 
 
 def test_module_invocation():

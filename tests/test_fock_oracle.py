@@ -209,6 +209,84 @@ def test_count_moments_match_a_whole_kernel_reduction(size):
     assert np.array_equal(mean, counts) and not np.any(var)
 
 
+# Transmittances on two leading axes, so that the stacked build's ``...``
+# indexing is exercised past one axis, with a lossless row among lossy ones.
+STACKED_T = np.array([[0.0, 0.05, 0.37], [0.9, 1.0, 0.6180339887498949]])
+
+
+@pytest.mark.parametrize("size", BLOCK_EDGE_SIZES)
+def test_a_stacked_kernel_build_gives_every_row_the_bits_of_a_scalar_build(size):
+    """One build over an array of transmittances against one build per element.
+    Each gather before a product is in C order, so a stacked product runs the
+    BLAS call of the 2-D one: rows match bit for bit, the single-column
+    products that end the builds at sizes 66 and 130 included."""
+    stacked = list(_kernel_blocks(size, STACKED_T))
+    mean, var = _count_moments(size, STACKED_T)
+    assert mean.shape == var.shape == STACKED_T.shape + (size,)
+    for index in np.ndindex(STACKED_T.shape):
+        t = float(STACKED_T[index])
+        scalar = list(_kernel_blocks(size, t))
+        assert [start for start, _ in stacked] == [start for start, _ in scalar]
+        for (_, rows), (_, block) in zip(stacked, scalar):
+            assert rows.shape == STACKED_T.shape + block.shape
+            assert np.array_equal(rows[index], block)
+        scalar_mean, scalar_var = _count_moments(size, t)
+        assert np.array_equal(mean[index], scalar_mean)
+        assert np.array_equal(var[index], scalar_var)
+
+
+VALIDATE_STATES = [
+    lambda: coherent_product(1.0),
+    lambda: twin_fock(1),
+    lambda: twin_fock(2),
+    lambda: tmsv(1.0),
+    lambda: noon(1),
+    lambda: squeezed_product(0.5),
+]
+
+
+@pytest.mark.parametrize("build", VALIDATE_STATES)
+def test_an_oracle_call_over_reflectances_gives_the_bits_of_scalar_calls(build):
+    """``validate``'s six states and three efficiency pairs, at its five
+    reflectances, the two mirror limits, and 0.2551, whose square by Python's
+    float power is one ulp below its product square.  A dark reference arm
+    (``eta_b = 0``) adds nothing that could round that ulp away."""
+    state = build()
+    r_abs = np.array([*np.sqrt([0.05, 0.3, 0.5, 0.7, 0.95]), 0.0, 1.0, 0.2551])
+    for etas in ((1.0, 1.0), (0.8, 0.8), (0.9, 0.6), (1.0, 0.0)):
+        eff = ChannelEfficiencies(*etas)
+        stats = oracle_measurement(state, r_abs, eff)
+        assert stats.mean.shape == stats.std.shape == r_abs.shape
+        for r, mean, std in zip(r_abs.tolist(), stats.mean.tolist(), stats.std.tolist()):
+            scalar = oracle_measurement(state, r, eff)
+            assert (mean, std) == (scalar.mean, scalar.std)
+        square = oracle_measurement(state, r_abs.reshape(2, 4), eff)
+        assert np.array_equal(square.mean, stats.mean.reshape(2, 4))
+        assert np.array_equal(square.std, stats.std.reshape(2, 4))
+    zero_d = oracle_measurement(state, np.asarray(0.5), eff)
+    assert type(zero_d.mean) is float and type(zero_d.std) is float
+
+
+def test_the_oracle_squares_a_reflectance_by_float_power():
+    """Twin Fock N = 1 into a dark reference arm has mean ``-T_a``: the
+    transmittance is ``r_abs ** 2`` by Python's float power, as it always was,
+    for a float and for each element of an array."""
+    dark = ChannelEfficiencies(1.0, 0.0)
+    assert 0.2551**2 != 0.2551 * 0.2551
+    assert oracle_measurement(twin_fock(1), 0.2551, dark).mean == -(0.2551**2)
+    assert oracle_measurement(twin_fock(1), np.array([0.2551]), dark).mean[0] == -(0.2551**2)
+
+
+@pytest.mark.parametrize("bad", [[0.5, math.nan], [-0.1], [1.1]])
+def test_the_oracle_names_the_first_reflectance_outside_the_unit_interval(bad):
+    eff = ChannelEfficiencies(1.0, 1.0)
+    with pytest.raises(ValueError) as scalar:
+        oracle_measurement(twin_fock(1), bad[-1], eff)
+    with pytest.raises(ValueError) as array:
+        oracle_measurement(twin_fock(1), np.array(bad), eff)
+    assert str(array.value) == str(scalar.value) == f"r_abs must lie in [0, 1], got {bad[-1]}"
+
+
 def _peak_mb(run):
     """``run()`` and its tracemalloc peak in MB above the memory live before it."""
     tracemalloc.reset_peak()
@@ -256,6 +334,27 @@ def test_the_oracle_runs_at_the_cutoff_cap_in_little_memory():
     state, peaks = _traced_peaks(lambda: tmsv(48.0, cutoff=4096), ChannelEfficiencies(0.8, 0.9))
     assert state.cutoff + 1 == 4097
     assert max(peaks) < 16.0, peaks
+
+
+def test_the_oracle_over_five_reflectances_holds_five_stacked_kernel_blocks():
+    """At TMSV N = 48 (size 1117), ``validate``'s five reflectances in one
+    call: mode a's kernel blocks are built five deep, so the peak grows with
+    the number of reflectances.  9.14 MB measured (numpy 2.4, against 2.32 MB
+    for one reflectance); the bound is that plus 10%."""
+    eff = ChannelEfficiencies(0.8, 0.9)
+    r_abs = np.sqrt([0.05, 0.3, 0.5, 0.7, 0.95])
+    oracle_measurement(tmsv(10.0), r_abs, eff)  # size 242: warms up lazy numpy set-up
+    state = tmsv(48.0)
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        stats, peak = _peak_mb(lambda: oracle_measurement(state, r_abs, eff))
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert state.cutoff + 1 == 1117 and stats.mean.shape == (5,)
+    assert peak < 9.14 * 1.1
 
 
 @pytest.mark.parametrize(

@@ -185,6 +185,45 @@ def test_ratio_input_validation():
         ratio(0.0, 1.0, -1.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [[0.5, math.nan], [-0.1], [1.1]])
+@pytest.mark.parametrize("name, check", [
+    ("eta_a", lambda eta: ChannelEfficiencies(eta, 0.5)),
+    ("eta_b", lambda eta: ChannelEfficiencies(0.5, eta)),
+    ("eta", lambda eta: metrology._ratio_terms(0.5, eta, 0.0, 1.0)),
+])
+def test_array_range_checks_name_the_first_value_outside_the_unit_interval(bad, name, check):
+    """NaN and out-of-range elements are refused with the message a scalar gets."""
+    with pytest.raises(ValueError) as scalar:
+        check(bad[-1])
+    with pytest.raises(ValueError) as array:
+        check(np.array(bad))
+    assert str(array.value) == str(scalar.value) == f"{name} must lie in [0, 1], got {bad[-1]}"
+
+
+def test_measurement_stats_check_every_std():
+    stats = metrology.MeasurementStats(np.array([0.1, -0.2]), np.array([0.0, 1.5]))
+    assert stats.std.shape == (2,)
+    with pytest.raises(ValueError, match=r"^std must be non-negative, got -0\.25$"):
+        metrology.MeasurementStats(np.zeros(3), np.array([1.0, -0.25, -1.0]))
+
+
+def test_signal_std_broadcasts_over_every_argument_bit_for_bit():
+    rng = np.random.default_rng(41)
+    r_abs, eta_a, eta_b = rng.uniform(0.05, 0.95, (3, 40))
+    n, q, sigma = rng.uniform(0.5, 10.0, 40), rng.uniform(-1.0, 3.0, 40), rng.uniform(0.0, 3.0, 40)
+    stds = signal_std(r_abs, ChannelEfficiencies(eta_a, eta_b), n, q, sigma)
+    for i, std in enumerate(stds.tolist()):
+        eff = ChannelEfficiencies(eta_a[i].item(), eta_b[i].item())
+        assert std == signal_std(r_abs[i].item(), eff, n[i].item(), q[i].item(), sigma[i].item())
+    # an unphysical element is named with its own Q and sigma
+    with pytest.raises(MetrologyDomainError) as array:
+        signal_std(0.5, BALANCED, np.array([1.0, 1.0]), np.array([0.0, -5.0]),
+                   np.array([1.0, 0.0]))
+    with pytest.raises(MetrologyDomainError) as scalar:
+        signal_std(0.5, BALANCED, 1.0, -5.0, 0.0)
+    assert str(array.value) == str(scalar.value)
+
+
 # ------------------------------------------------------------- family catalog
 
 @pytest.mark.parametrize(
@@ -437,6 +476,35 @@ def test_sweep_rows_equal_precision_at_their_operating_points(monkeypatch):
         assert row["slope"] == result.signal_slope
         assert row["noise"] == result.noise
         assert row["delta_n"] == result.delta_n
+
+
+def test_precision_columns_are_the_sweep_rows_with_one_object_per_angle():
+    """The columns ``plasmonq precision`` writes hold the sweep's rows, and an
+    angle's ``theta_deg`` and ``n_inf`` are one object over its states."""
+    stack = make_stack()
+    thetas = [70.0, 73.0, 76.0, 79.0]
+    states = ["coherent", "twin-fock", ("mine", statistics(twin_fock(2)))]
+    columns = metrology._precision_columns(stack, thetas, states, 2.0, 0.9, (1.30, 1.4422),
+                                           1e-6, 1e-9, 2001)
+    rows = sweep_precision_vs_angle(stack, thetas, states, n_photons=2.0, eta=0.9)
+    assert list(columns) == list(rows[0])
+    assert [dict(zip(columns, row)) for row in zip(*columns.values())] == rows
+    for name in ("theta_deg", "n_inf"):
+        column = columns[name]
+        assert all(column[i] is column[i - i % 3] for i in range(len(column)))
+    assert metrology._precision_columns(stack, thetas, [], 1.0, 1.0, (1.30, 1.4422), 1e-6,
+                                        1e-9, 2001) == {name: [] for name in columns}
+
+
+def test_skipped_angles_are_warned_of_at_the_sweeps_caller():
+    stack = make_stack()
+    for sweep in (lambda: sweep_precision_vs_angle(stack, [65.5, 73.0], ["coherent"],
+                                                   n_range=(1.333, 1.4422)),
+                  lambda: metrology._precision_columns(stack, [65.5, 73.0], ["coherent"], 1.0,
+                                                       1.0, (1.333, 1.4422), 1e-6, 1e-9, 2001)):
+        with pytest.warns(UserWarning, match="skipped") as caught:
+            sweep()
+        assert [w.filename for w in caught] == [__file__]
 
 
 def test_sweep_precision_degenerate_when_detectors_are_dark():
