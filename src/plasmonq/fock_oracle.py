@@ -17,7 +17,6 @@ agreement between the two modules is a genuine cross-check, not a tautology.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -123,11 +122,6 @@ def _kernel_blocks(size: int, transmittance):
         n0 += block.shape[-1]
 
 
-def _indices(shape: tuple) -> itertools.product:
-    """Every index of an array of ``shape``, as ``np.ndindex`` gives them: ``()`` for 0-d."""
-    return itertools.product(*map(range, shape))
-
-
 def _thinning_kernel(size: int, transmittance: float) -> np.ndarray:
     """The whole kernel ``L[k, n]`` (zero above the diagonal), block by block."""
     kernel = np.zeros((size, size))
@@ -171,27 +165,24 @@ def _count_moments(size: int, transmittance) -> tuple[np.ndarray, np.ndarray]:
     """
     counts = np.arange(size, dtype=float)
     transmittance = np.asarray(transmittance, dtype=float)
-    lossless = transmittance == 1.0
-    mean = np.empty(transmittance.shape + (size,))
-    var = np.zeros(transmittance.shape + (size,))
-    rows = []  # the rows that need a kernel
-    for row in _indices(transmittance.shape):
-        if lossless[row]:
-            mean[row] = counts
-        else:
-            rows.append(row)
-    if not rows:
-        return mean, var
-    for start, block in _kernel_blocks(size, transmittance):
+    lossless = (transmittance == 1.0).ravel()
+    mean = np.empty((lossless.size, size))
+    var = np.zeros((lossless.size, size))
+    mean[lossless] = counts
+    lossy = np.flatnonzero(~lossless).tolist()
+    built = _kernel_blocks(size, transmittance) if lossy else ()
+    for start, block in built:
         end = block.shape[-2]  # column n is zero below row n
-        for row in rows:
-            mean[row][start:end] = counts[:end] @ block[row]
-            spread = counts[:end, np.newaxis] - mean[row][start:end]  # k - mean[n] at (k, n)
+        blocks = block.reshape(-1, end, block.shape[-1])  # a view: one block per row
+        for row in lossy:
+            mean[row, start:end] = counts[:end] @ blocks[row]
+            spread = counts[:end, np.newaxis] - mean[row, start:end]  # k - mean[n] at (k, n)
             spread *= spread
-            spread *= block[row]
-            var[row][start:end] = spread.sum(axis=0)
+            spread *= blocks[row]
+            var[row, start:end] = spread.sum(axis=0)
             del spread  # freed before the next block is built
-    return mean, var
+    shape = transmittance.shape + (size,)
+    return mean.reshape(shape), var.reshape(shape)
 
 
 def oracle_measurement(
@@ -215,7 +206,8 @@ def oracle_measurement(
     # Python's float power, as a float argument is squared: numpy's array
     # square rounds differently from libm's pow for about 1 in 1000 values.
     r2 = np.reshape([r**2 for r in r_abs.ravel().tolist()], r_abs.shape)
-    mean_a, var_a = _count_moments(state.size, r2 * eff.eta_a**2)
+    mean_a, var_a = (moments.reshape(-1, state.size)  # one row per reflectance
+                     for moments in _count_moments(state.size, r2 * eff.eta_a**2))
     mean_b, var_b = _count_moments(state.size, eff.eta_b**2)
     probs = np.abs(state.values)
     probs *= probs
@@ -223,14 +215,14 @@ def oracle_measurement(
     p_b = np.bincount(state.cols, weights=probs, minlength=state.size)
     b_mean, b_var, lost = p_b @ mean_b, p_b @ var_b, 1.0 - float(p_a.sum())
     means, stds = [], []
-    for row in _indices(r_abs.shape):
-        mean = float(b_mean - p_a @ mean_a[row])
+    for mean_row, var_row in zip(mean_a, var_a):
+        mean = float(b_mean - p_a @ mean_row)
         # Law of total variance over the input counts (n, m).  The last term
         # keeps ``E[(l - k)^2] - mean^2`` when the probabilities sum below 1.
-        spread = (mean_b - mean)[state.cols] - mean_a[row][state.rows]
+        spread = (mean_b - mean)[state.cols] - mean_row[state.rows]
         spread *= spread
         spread *= probs
-        variance = float(p_a @ var_a[row] + b_var + spread.sum()) + mean * mean * lost
+        variance = float(p_a @ var_row + b_var + spread.sum()) + mean * mean * lost
         means.append(mean)
         stds.append(math.sqrt(max(0.0, variance)))
     if r_abs.ndim == 0:
