@@ -104,8 +104,9 @@ def _kernel_blocks(size: int, transmittance):
 
     def after(column: np.ndarray, n0: int, w: int) -> np.ndarray:  # columns n0+1..n0+w
         padded[..., _BLOCK:_BLOCK + n0 + 1] = column[..., :n0 + 1]
-        # take, not padded[..., shift]: its result is in C order, so each stacked
-        # product runs the BLAS call of a 2-D one and rounds the same way
+        # take, not padded[..., shift], whose stacked result is batch-innermost:
+        # in C order each stacked product sees the operand layout of a 2-D one
+        # and rounds the same way
         gathered = padded.take(shift[:n0 + w + 1, :w + 1], axis=-1)
         return gathered @ corner[..., :w + 1, 1:w + 1]
 

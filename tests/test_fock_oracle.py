@@ -217,8 +217,8 @@ STACKED_T = np.array([[0.0, 0.05, 0.37], [0.9, 1.0, 0.6180339887498949]])
 @pytest.mark.parametrize("size", BLOCK_EDGE_SIZES)
 def test_a_stacked_kernel_build_gives_every_row_the_bits_of_a_scalar_build(size):
     """One build over an array of transmittances against one build per element.
-    Each gather before a product is in C order, so a stacked product runs the
-    BLAS call of the 2-D one: rows match bit for bit, the single-column
+    Each gather before a product is in C order, so a stacked product sees the
+    operand layout of the 2-D one: rows match bit for bit, the single-column
     products that end the builds at sizes 66 and 130 included."""
     stacked = list(_kernel_blocks(size, STACKED_T))
     mean, var = _count_moments(size, STACKED_T)
