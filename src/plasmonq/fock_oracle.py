@@ -116,11 +116,14 @@ def _kernel_blocks(size: int, transmittance):
         corner[..., :n0 + w + 1, n0 + 1:n0 + w + 1] = after(corner[..., n0], n0, w)
         n0 += w
     yield 0, corner
-    block = corner
+    column = corner[..., -1]
     while n0 < size - 1:
-        block = after(block[..., -1], n0, min(_BLOCK, size - 1 - n0))
+        w = min(_BLOCK, size - 1 - n0)
+        block = after(column, n0, w)
+        column = block[..., -1].copy()  # all the next block needs of this one
         yield n0 + 1, block
-        n0 += block.shape[-1]
+        del block  # freed before the next block is built, once the caller drops it too
+        n0 += w
 
 
 def _thinning_kernel(size: int, transmittance: float) -> np.ndarray:
@@ -182,6 +185,7 @@ def _count_moments(size: int, transmittance) -> tuple[np.ndarray, np.ndarray]:
             spread *= blocks[row]
             var[row, start:end] = spread.sum(axis=0)
             del spread  # freed before the next block is built
+        del block, blocks  # and so is the block
     shape = transmittance.shape + (size,)
     return mean.reshape(shape), var.reshape(shape)
 

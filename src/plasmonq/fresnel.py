@@ -425,9 +425,13 @@ def sensitivity(
 # (n = n_prism sin theta), and |dR/dn| diverges there, so any argmax of it would
 # lock onto it.  The sensor operates under total internal reflection, below it.
 _TIR_MARGIN = 1e-3
-# Floats per work array of the steep-flank scan, whose calls each take as many angles'
-# grids as fit (5 of 2001 points).  Its seven arrays are made once per search.
-_SCAN_FLOATS = 10240
+# The steep-flank scan takes _ANGLES angles a pass: it evaluates every _CELL-th grid
+# point, then the cells that its bound cannot rule out.  No array of a pass reaches
+# 64 KiB, past which glibc may trim its heap on each free.  The bound is widened by
+# _ROUNDING of its terms, far above their few rounding errors.
+_CELL = 32
+_ANGLES = 48
+_ROUNDING = 1e-13
 
 
 def inflection_index(
@@ -445,8 +449,9 @@ def inflection_index(
     the total-internal-reflection regime ``n < n_prism sin(theta)`` where
     the attenuated-total-reflection scheme is defined.  Raises
     :class:`NoInteriorExtremumError` if the steepest point is not interior.
-    A grid scan of the closed-form ``dR/dn`` brackets it, and an Illinois solve
-    for the root of the closed-form ``d2R/dn2`` refines it: ``n_inf`` lies within
+    A grid scan of the closed-form ``dR/dn``, which skips only the cells that a
+    rigorous bound rules out, brackets it, and an Illinois solve for the root of
+    the closed-form ``d2R/dn2`` refines it: ``n_inf`` lies within
     ``tol`` of a sign change of the computed ``d2R/dn2``.  ``h`` does not move
     ``n_inf``; it is checked so that ``n_inf +- h`` lies in ``(0, n_prism)``.
     """
@@ -456,12 +461,41 @@ def inflection_index(
     return n_inf
 
 
+def _cell_bounds(cols, n, n2):
+    """A bound on ``|dR/dn| = |C| G / (n D**2)`` over each cell between neighbouring
+    columns of ``n`` (``n2`` their squares), a row per row of ``cols``; ``inf`` or NaN
+    where ``D`` may vanish.  ``beta``, formed as the scan forms it, falls along ``n``
+    after rounding too.  Over a cell, a quadratic in ``beta`` strays from its chord by
+    at most ``|x2| fall**2 / 4``, ``G`` is at most its value with ``kappa`` from the
+    right end and ``beta`` from the left, and ``1 / n`` at most the left end's.  ``C``
+    and ``D`` round by less than ``_ROUNDING`` times their terms at the row's largest
+    ``beta``, its first, plus the least normal float."""
+    kk, kx2 = cols[:2]
+    x0, x1, x2 = cols[2:].reshape(2, 3, -1, 1).swapaxes(0, 1)  # of C and of D
+    with np.errstate(all="ignore"):  # an overflow or a NaN keeps its cell
+        kappa = np.sqrt(kx2 - n2 * kk)
+        beta = kappa / n2
+        left, first = beta[:, :-1], beta[:, :1]
+        c, d = x0 + beta * (x1 + beta * x2)
+        c = abs(c)
+        slack = np.square(left - beta[:, 1:]) * (0.25 * abs(x2)) + (_ROUNDING * (
+            abs(x0) + first * (abs(x1) + first * abs(x2))) + sys.float_info.min)
+        c_hi = np.maximum(c[:, :-1], c[:, 1:]) + slack[0]
+        d_lo = np.maximum(np.minimum(d[:, :-1], d[:, 1:]) - slack[1], 0.0)
+        return (c_hi * (kk / kappa[:, 1:] + 2.0 * left) / (n[:, :-1] * d_lo * d_lo)
+                * (1.0 + _ROUNDING))
+
+
 def _steepest_flank(stack: Sensor, thetas, n_range: tuple[float, float],
                     tol: float, h: float, grid_points: int) -> list:
     """:func:`inflection_index` at each angle of ``thetas``: its ``n_inf``, or the
-    :class:`NoInteriorExtremumError` raised there.  :func:`_tir_slope_on_grid` scans
-    a block of angles' grids a call, each value with the bits of a one-angle call;
-    one lockstep solve refines every bracket."""
+    :class:`NoInteriorExtremumError` raised there.  The bracket is the two grid cells
+    around the angle's first argmax of ``|dR/dn|`` on the grid, found by branch and
+    bound: :func:`_tir_slope_on_grid` evaluates every ``_CELL``-th grid point, then
+    every point of each cell whose bound (:func:`_cell_bounds`) is not below the best
+    of those.  A dropped cell holds no point that steep, and a cell whose ``D`` may
+    vanish is kept, so the argmax, the bracket and any singularity error are the full
+    scan's, bit for bit.  One lockstep solve refines every bracket."""
     if h <= 0.0:
         raise ValueError("finite-difference step h must be positive")
     lo, hi = n_range
@@ -476,22 +510,28 @@ def _steepest_flank(stack: Sensor, thetas, n_range: tuple[float, float],
     n_critical = stack.n_prism * np.fromiter(map(math.sin, map(math.radians, thetas)), float)
     top = np.minimum(hi, n_critical - _TIR_MARGIN)
     step = (top - lo) / (grid_points - 1)
-    ramp = np.arange(grid_points)
-    n = lo + ramp * ((hi - lo) / (grid_points - 1))
-    flat = (n, n * n, n * n * (k0 * k0))  # the grid of every angle whose top is hi
     scanned = np.flatnonzero(top > lo)
     peak = np.zeros(len(rows), dtype=int)  # each angle's first argmax of |dR/dn|
-    size = max(1, _SCAN_FLOATS // grid_points)  # angles a call
-    work = np.empty((7, min(size, len(scanned)), grid_points))  # no block frees its arrays
-    for block in np.split(scanned, range(size, len(scanned), size)):
-        n, n2, n2kk, *out = work[:, :len(block)]
-        if (top[block] == hi).all():
-            n, n2, n2kk = flat
-        else:  # each row as one angle's grid is built
-            np.add(lo, np.multiply(ramp, step[block, None], out=n), out=n)
-            np.multiply(np.multiply(n, n, out=n2), k0 * k0, out=n2kk)
-        slope = _tir_slope_on_grid(rows[block].T[..., None], (n, n2, n2kk), out)
-        peak[block] = np.abs(slope, out=slope).argmax(axis=1)
+    ends = np.append(np.arange(0, grid_points - 1, _CELL), grid_points - 1)  # cell edges
+    span = np.arange(min(_CELL, grid_points - 1) + 1)  # a cell's points, edges included
+    for start in range(0, len(scanned), _ANGLES):
+        block = scanned[start:start + _ANGLES]
+        cols, at = rows[block].T[..., None], step[block, None]
+        n = lo + ends * at  # the grid's own values: lo + i step
+        n2 = n * n
+        edge = np.abs(_tir_slope_on_grid(cols, (n, n2, n2 * (k0 * k0))))
+        # a point as steep as the best edge lies in a kept cell, edges included
+        row, cell = np.nonzero(~(_cell_bounds(cols, n, n2) < edge.max(axis=1)[:, None]))
+        index = np.minimum(ends[cell, None] + span, ends[cell + 1, None])
+        n = lo + index * at[row]
+        n2 = n * n
+        slope = np.abs(_tir_slope_on_grid(cols[:, row], (n, n2, n2 * (k0 * k0))))
+        most = np.full(len(block), -np.inf)
+        np.maximum.at(most, row, slope.max(axis=1))
+        hit = (slope == most[row, None]) | np.isnan(slope)  # a NaN is argmax's maximum
+        first = np.full(len(block), grid_points)
+        np.minimum.at(first, row, np.where(hit, index, grid_points).min(axis=1))
+        peak[block] = first
     interior = (top > lo) & (0 < peak) & (peak < grid_points - 1)
     found = [None] * len(rows)  # per angle: its n_inf, or why it is skipped
     for i in np.flatnonzero(~interior).tolist():

@@ -8,16 +8,18 @@ import math
 import numpy as np
 import pytest
 
-from plasmonq.fresnel import (_TIR_MARGIN, IncidenceGeometry, Sensor, _decaying_sqrt, _rsp,
+from plasmonq import fresnel
+from plasmonq.fresnel import (_TIR_MARGIN, IncidenceGeometry, NoInteriorExtremumError, Sensor,
+                              _cell_bounds, _decaying_sqrt, _rsp, _steepest_flank,
                               _tir_curvature, _tir_slope_on_grid, _tir_slope_terms,
                               interface_reflection, reflection,
                               sensitivity, tangential_wavevector,
                               transfer_matrix_reflection)
 from plasmonq.materials import GOLD_DRUDE_LORENTZ, gold_dispersion
-from test_fresnel import _tir_reflectance
+from test_fresnel import _per_angle_flank, _tir_reflectance
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 ANGLES_DEG = np.linspace(1.0, 89.0, 89)
@@ -252,3 +254,53 @@ def test_the_closed_form_curvature_is_the_derivative_of_the_slope(sensor, theta_
     richardson = ((4.0 * central(1e-6) - central(2e-6)) / 3.0)[trusted]
     scale = np.max(abs(richardson), initial=1.0)
     assert np.all(abs(curvature - richardson) <= CURVATURE_RTOL * scale)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sensor=sensors, lo=st.floats(1.0, 1.34), width=st.floats(0.005, 0.4),
+       spots=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30),
+       grid_points=st.integers(3, 2001), angles=st.integers(1, 48),
+       cell=st.sampled_from([32, 1, 7, 100]))
+def test_the_bounded_scan_finds_the_full_scans_outcome(sensor, lo, width, spots, grid_points,
+                                                       angles, cell):
+    """The branch-and-bound search gives every angle the outcome of the full
+    scan, one grid per angle: ``n_inf`` bit for bit, or the skip's type and
+    message.  Random sensors, index ranges, grid sizes, blocks of angles and
+    cells (the defaults are 48 angles and 32 steps); the angles, in drawn order,
+    run from 5 deg below the range's total-internal-reflection window to 10 deg
+    above it."""
+    n_range = (lo, min(lo + width, sensor.n_prism - 0.01))
+    first, last = (math.degrees(math.asin((n + _TIR_MARGIN) / sensor.n_prism)) for n in n_range)
+    span = min(last + 10.0, 89.5) - (first - 5.0)
+    thetas = [first - 5.0 + spot * span for spot in spots]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fresnel, "_ANGLES", angles)
+        patch.setattr(fresnel, "_CELL", cell)
+        got = _steepest_flank(sensor, thetas, n_range, 1e-9, 1e-6, grid_points)
+    want = _per_angle_flank(sensor, thetas, n_range, 1e-9, grid_points)
+    assert len(got) == len(want) == len(thetas)
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        assert str(g) == str(w) if isinstance(w, NoInteriorExtremumError) else g == w
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(sensor=sensors, lo=st.floats(1.0, 1.34), spot=st.floats(0.0, 1.0),
+       grid_points=st.integers(3, 2001), cell=st.sampled_from([32, 1, 7, 100]))
+def test_the_cell_bound_holds_at_every_grid_point(sensor, lo, spot, grid_points, cell):
+    """Over each cell between the scan's coarse points, :func:`_cell_bounds`
+    is at least ``|dR/dn|``, as the scan computes it, at every grid point of
+    the cell, its ends included.  The grid runs from ``lo`` to the scan's top
+    below the crossover, at an angle anywhere in the window above ``lo``."""
+    first = math.degrees(math.asin((lo + _TIR_MARGIN) / sensor.n_prism))
+    theta = first + spot * (89.5 - first)
+    top = sensor.n_prism * math.sin(math.radians(theta)) - _TIR_MARGIN
+    assume(top > lo)
+    k0 = 2.0 * math.pi / sensor.wavelength_nm
+    n = (lo + np.arange(grid_points) * ((top - lo) / (grid_points - 1)))[np.newaxis]
+    cols = _tir_slope_terms(sensor, [theta]).T[..., np.newaxis]
+    slope = np.abs(_tir_slope_on_grid(cols, (n, n * n, n * n * (k0 * k0))))[0]
+    ends = np.append(np.arange(0, grid_points - 1, cell), grid_points - 1)
+    steepest = np.maximum(np.maximum.reduceat(slope, ends[:-1]), slope[ends[1:]])
+    bound = _cell_bounds(cols, n[:, ends], (n * n)[:, ends])[0]
+    assert not np.any(bound < steepest)
