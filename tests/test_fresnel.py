@@ -801,8 +801,8 @@ def test_the_blocked_scan_has_the_bits_of_the_per_angle_loop(grid_points):
 def test_the_blocked_scan_of_the_default_angles_has_the_bits_of_the_per_angle_loop():
     # 361 angles, some of whose tops are hi and some not, on a range with and
     # one without skips, in blocks of any size (the default is 48 angles, which
-    # does not divide 361) and in cells from one grid step to past the grid
-    # (the default is 32 steps, which divides 2000; 3, 7 and 1999 do not)
+    # does not divide 361) and in cells up to past the grid (the default is 32
+    # steps, which divides 2000; 7 and 33 do not)
     def outcomes(found):
         return [(type(x), str(x)) if isinstance(x, Exception) else x for x in found]
 
@@ -813,7 +813,7 @@ def test_the_blocked_scan_of_the_default_angles_has_the_bits_of_the_per_angle_lo
         want = outcomes(_per_angle_flank(stack, thetas, n_range, 1e-9, 2001))
         kinds.update(type(x) for x in want)
         assert outcomes(_steepest_flank(stack, thetas, n_range, 1e-9, 1e-6, 2001)) == want
-        for block, cell in [(1, 3), (4, 7), (360, 1), (361, 1999), (100, 4096)]:
+        for block, cell in [(1, 33), (4, 7), (360, 7), (361, 4096)]:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(fresnel, "_ANGLES", block)
                 patch.setattr(fresnel, "_CELL", cell)
