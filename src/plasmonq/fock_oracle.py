@@ -73,7 +73,6 @@ def joint_distribution(state: FockCoefficients) -> JointNumberDistribution:
 # _count_moments reduces one block at a time, so the oracle holds one block
 # of kernel columns, ~0.6 MB at the cutoffs past 1000 that bright TMSV
 # states reach, besides a few arrays per nonzero state entry.
-# binomial_thinning holds its input, its result and one whole kernel.
 _BLOCK = 64
 
 
@@ -134,13 +133,6 @@ def _thinning_kernel(size: int, transmittance: float) -> np.ndarray:
     return kernel
 
 
-def _thin_columns(probs: np.ndarray, kernel: np.ndarray) -> None:
-    """``probs <- kernel @ probs`` in place, one block of columns at a time."""
-    for start in range(0, probs.shape[1], _BLOCK):
-        columns = probs[:, start:start + _BLOCK]
-        columns[...] = kernel @ columns
-
-
 def binomial_thinning(
     dist: JointNumberDistribution, t_a: float, t_b: float
 ) -> JointNumberDistribution:
@@ -148,12 +140,11 @@ def binomial_thinning(
     for name, value in (("t_a", t_a), ("t_b", t_b)):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    size = dist.cutoff + 1
-    thinned = np.array(dist.probs)  # writable copy, thinned in place
+    size, thinned = dist.cutoff + 1, dist.probs
     if t_a != 1.0:  # a lossless mode is left as it is
-        _thin_columns(thinned, _thinning_kernel(size, t_a))
+        thinned = _thinning_kernel(size, t_a) @ thinned
     if t_b != 1.0:
-        _thin_columns(thinned.T, _thinning_kernel(size, t_b))  # mode b acts on rows
+        thinned = thinned @ _thinning_kernel(size, t_b).T  # mode b is the column index
     return JointNumberDistribution(thinned)
 
 

@@ -219,21 +219,21 @@ def _tir_slope_terms(sensor: Sensor, thetas):
                      abs(s) ** 2, 2.0 * (s * np.conj(t)).imag, abs(t) ** 2], axis=1)
 
 
-def _tir_slope_on_grid(row, grid, out=(None,) * 4):
+def _tir_slope_on_grid(row, grid):
     """``dR/dn = C G / (n D**2)`` at the angle of ``row`` over ``grid = (n, n**2, n**2
-    k0**2)``, since ``d beta/dn = -G / n`` with ``G = k0**2 / kappa + 2 beta``.  Four
-    arrays are allocated or taken from ``out``; all else is in place, in that order."""
+    k0**2)``, since ``d beta/dn = -G / n`` with ``G = k0**2 / kappa + 2 beta``.  It
+    allocates four arrays and works in place on them."""
     kk, kx2, c0, c1, c2, d0, d1, d2 = row
     n, n2, n2kk = grid
-    kappa = np.subtract(kx2, n2kk, out=out[0])
-    beta = np.divide(np.sqrt(kappa, out=kappa), n2, out=out[1])
-    den = np.multiply(beta, d2, out=out[2])  # D = d0 + beta (d1 + beta d2)
+    kappa = kx2 - n2kk
+    beta = np.sqrt(kappa, out=kappa) / n2
+    den = beta * d2  # D = d0 + beta (d1 + beta d2)
     den += d1
     den *= beta
     den += d0
     if not den.all():
         raise FresnelSingularityError("vanishing composite denominator for stack 1|2|3")
-    num = np.multiply(beta, c2, out=out[3])  # C = c0 + beta (c1 + beta c2)
+    num = beta * c2  # C = c0 + beta (c1 + beta c2)
     num += c1
     num *= beta
     num += c0
@@ -323,29 +323,22 @@ def transfer_matrix_reflection(layers, k_x, wavelength_nm: float):
     return (q[0] * top - bot) / den
 
 
-def _golden_minimize(f, a, b, tol: float):
-    """Golden-section minimum of a unimodal f on [a, b] to absolute x tolerance.
-
-    Arrays of brackets run in lockstep, one call of ``f`` on all rows per iteration;
-    a row within ``tol`` or with no float inside is frozen, so each row does exactly
-    the arithmetic of its own scalar search.  Scalar brackets are the 0-d case.
-    """
+def _golden_minimize(f, a: float, b: float, tol: float) -> float:
+    """Golden-section minimum of a unimodal f on [a, b], to absolute x tolerance
+    or until no float is left inside the bracket."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = (np.array(v, dtype=float) for v in np.broadcast_arrays(a, b))
-    c = np.array(b - invphi * (b - a))  # np.array keeps the 0-d case writable
-    d = np.array(a + invphi * (b - a))
-    fc = np.array(f(c), dtype=float)
-    fd = np.array(f(d), dtype=float)
-    while (live := ((b - a) > tol) & (np.nextafter(a, b) < b)).any():
-        left = live & (fc < fd)  # the minimum lies in [a, d]
-        right = live & ~(fc < fd)  # the minimum lies in [c, b]
-        b[left], d[left], fd[left] = d[left], c[left], fc[left]
-        a[right], c[right], fc[right] = c[right], d[right], fd[right]
-        c[left] = b[left] - invphi * (b[left] - a[left])
-        d[right] = a[right] + invphi * (b[right] - a[right])
-        values = np.asarray(f(np.where(left, c, d)), dtype=float)
-        fc[left], fd[right] = values[left], values[right]
-    return (0.5 * (a + b))[()]
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol and math.nextafter(a, b) < b:
+        if fc < fd:  # the minimum lies in [a, d]
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:  # the minimum lies in [c, b]
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
 
 
 def _illinois_root(f, a, b, tol: float):

@@ -18,7 +18,7 @@ from pathlib import Path
 GOLDEN = Path(__file__).resolve().parent
 sys.path.insert(0, str(GOLDEN.parent))
 
-from test_golden import CORPUS, differences, load_corpus, run  # noqa: E402
+from test_golden import CORPUS, _cells, differences, load_corpus, run  # noqa: E402
 
 # reduced grids: the default stdout of the five sweeps is ~220 KB in CSV alone
 GRIDS = {
@@ -61,6 +61,23 @@ def record() -> None:
     print(f"recorded {len(records)} runs, {CORPUS.stat().st_size} bytes")
 
 
+def shifts(record: dict, out: str) -> str:
+    """The columns whose cells moved, how many moved, and the largest absolute and
+    relative shift, in a run that is within budget but not byte-identical."""
+    columns, moved, largest_abs, largest_rel = {}, 0, 0.0, 0.0
+    for (column, want), (_, have) in zip(_cells("\n".join(record["stdout"])), _cells(out)):
+        if want == have and type(want) is type(have):
+            continue
+        columns[column] = None
+        moved += 1
+        a, b = float(want), float(have)  # within budget, so both are numbers
+        shift = abs(a - b)
+        largest_abs = max(largest_abs, shift)
+        largest_rel = max(largest_rel, shift / max(abs(a), abs(b)) if shift else 0.0)
+    return (f"{moved} cell{'s' * (moved != 1)} moved in {', '.join(columns) or 'no column'}; "
+            f"largest shift {largest_abs:.3g} absolute, {largest_rel:.3g} relative")
+
+
 def check() -> int:
     identical = within = failed = 0
     for record in load_corpus():
@@ -73,7 +90,8 @@ def check() -> int:
             identical += 1
         else:
             within += 1
-            print(f"within budget, not byte-identical: {record['name']}")
+            print(f"within budget, not byte-identical: {record['name']}: "
+                  f"{shifts(record, out)}")
     print(f"{identical} byte-identical, {within} within budget, {failed} differ")
     return 1 if failed else 0
 

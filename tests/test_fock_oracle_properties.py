@@ -100,8 +100,8 @@ def sub_normalised_states(draw):
     entries = st.lists(st.floats(0.0, 1.0), min_size=size * size, max_size=size * size)
     probs = np.reshape(draw(entries), (size, size))
     total = float(probs.sum())
-    if total > 0.0:
-        probs *= draw(st.floats(0.0, 1.0)) / total
+    if total > 0.0:  # divided first: 1 / total overflows when total is subnormal
+        probs = probs / total * draw(st.floats(0.0, 1.0))
     return FockCoefficients(np.sqrt(probs))
 
 

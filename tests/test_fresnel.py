@@ -354,41 +354,6 @@ def test_golden_minimizer_finds_planted_optimum():
     assert quartic == pytest.approx(2.5, abs=1e-3)
 
 
-def _golden_loop(f, a, b, tol):
-    """One bracket at a time, in Python floats: the reference for the lockstep form."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol and math.nextafter(a, b) < b:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def test_golden_minimizer_rows_match_their_scalar_searches():
-    # bracket widths from 10 down to below tol, so rows freeze after
-    # different numbers of iterations; the last row is frozen from the start
-    plants = np.array([0.3, 1.38, 2.5, 7.0, 0.5])
-    a = np.array([0.0, 1.36, 0.0, 6.99, 0.5])
-    b = np.array([1.0, 1.40, 10.0, 7.01, 0.5 + 1e-7])
-    tol = 1e-6
-    got = _golden_minimize(lambda x: (x - plants) * (x - plants), a, b, tol)
-    assert got.shape == plants.shape
-    for i, plant in enumerate(plants.tolist()):
-        def f(x):
-            return (x - plant) * (x - plant)
-        scalar = _golden_minimize(f, a[i], b[i], tol)
-        assert got[i] == scalar == _golden_loop(f, float(a[i]), float(b[i]), tol)
-    assert got[-1] == 0.5 * (a[-1] + b[-1])
-
-
 def _counted(f, limit=500):
     """``f``, raising once it has been called more than ``limit`` times, so that
     a search that never stops fails instead of hanging."""
@@ -410,12 +375,6 @@ def test_golden_section_stops_when_no_float_is_left_inside():
     root = math.sqrt(2.0)
     got = _golden_minimize(_counted(lambda x: (x - root) * (x - root)), 1.0, 2.0, 0.0)
     assert abs(got - root) <= 4 * math.ulp(root)
-    plants = np.array([root, 0.3, 7.0])
-    rows = _golden_minimize(_counted(lambda x: (x - plants) * (x - plants)),
-                            np.array([1.0, 0.0, 6.0]), np.array([2.0, 1.0, 8.0]), 0.0)
-    for got, plant, a, b in zip(rows.tolist(), plants.tolist(), [1.0, 0.0, 6.0], [2.0, 1.0, 8.0]):
-        assert got == _golden_loop(lambda x: (x - plant) * (x - plant), a, b, 0.0)
-        assert abs(got - plant) <= 4 * math.ulp(plant)
 
 
 def test_resonance_angle_returns_at_zero_tolerance(monkeypatch):
@@ -832,8 +791,8 @@ def test_the_scan_evaluates_a_tenth_of_the_default_grid(monkeypatch):
     want = _per_angle_flank(stack, thetas, (1.30, 1.4422), 1e-9, 2001)
     sizes = []
 
-    def counted(row, grid, out=(None,) * 4):
-        slope = _tir_slope_on_grid(row, grid, out)
+    def counted(row, grid):
+        slope = _tir_slope_on_grid(row, grid)
         sizes.append(slope.size)
         return slope
 

@@ -4,9 +4,9 @@ Each record holds an argv, its exit code, its stdout and its stderr, with
 warnings written as ``Category: message`` (no path or line number).  Text and
 exit codes must match byte for byte.  Numbers must match as floats, within the
 per-column budget below: numpy's SIMD loops round differently across code
-paths and CPUs, and a golden-section search can flip on one ulp.  A record
-that is not byte-identical but within budget passes, and says so through
-``record_property("byte_identical", False)``.
+paths and CPUs, and the steep-flank search's root moves with them within its
+tolerance.  A record that is not byte-identical but within budget passes, and
+says so through ``record_property("byte_identical", False)``.
 
 Re-record with ``python tests/golden/record.py``; check without pytest with
 ``python tests/golden/record.py --check``.
