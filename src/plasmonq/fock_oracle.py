@@ -43,8 +43,8 @@ class JointNumberDistribution:
 
     probs: np.ndarray
 
-    def __post_init__(self):
-        arr = np.array(self.probs, dtype=float, copy=True)
+    def __post_init__(self, arr: np.ndarray | None = None):
+        arr = np.array(self.probs, dtype=float, copy=True) if arr is None else arr
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValueError(f"probability matrix must be square, got shape {arr.shape}")
         if np.any(arr < 0.0):
@@ -64,34 +64,41 @@ class JointNumberDistribution:
         return max(0.0, 1.0 - float(self.probs.sum()))
 
 
+def _holding(probs: np.ndarray) -> JointNumberDistribution:  # a builder's own array, uncopied
+    dist = object.__new__(JointNumberDistribution)
+    dist.__post_init__(probs)
+    return dist
+
+
 def joint_distribution(state: FockCoefficients) -> JointNumberDistribution:
     """``P(n, m) = |C_{n,m}|^2`` of a two-mode expansion."""
-    return JointNumberDistribution(np.abs(state.coeffs) ** 2)
+    probs = np.zeros((state.size, state.size))
+    probs[state.rows, state.cols] = np.abs(state.values) ** 2
+    return _holding(probs)
 
 
-# Columns per kernel block, and the widest product of the blocked build.
-# _count_moments reduces one block at a time, so the oracle holds one block
-# of kernel columns, ~0.6 MB at the cutoffs past 1000 that bright TMSV
-# states reach, besides a few arrays per nonzero state entry.
-_BLOCK = 64
+# Columns per kernel block past the corner, and the widest product of the
+# blocked build.  _count_moments reduces one block at a time: ~0.3 MB of kernel
+# columns at the cutoffs past 1000 that bright TMSV states reach.
+_BLOCK = 32
 
 
 def _kernel_blocks(size: int, transmittance):
     """``(start, L[..., :end, start:end])`` of ``L[k, n] = C(n, k) T^k (1-T)^(n-k)``.
 
     Column ``n`` is Binomial(n, T), zero below row ``n``, so column ``n0 + j``
-    is column ``n0`` convolved with column ``j``.  The ``(_BLOCK + 1)^2``
-    corner is filled from columns 0 and 1 by products of widths 1, 2, 4, ...;
-    each later block is one product of the corner with the column before it.
-    Every entry is a non-negative combination of earlier entries with weights
-    summing to 1, as in the Pascal recurrence: nothing overflows at any size,
-    and entries stay exact to rounding.  An array of transmittances builds one
-    kernel per element in the same products, stacked on the leading axes; a
-    scalar builds one 2-D kernel.
+    is column ``n0`` convolved with column ``j``.  The ``(2 _BLOCK + 1)^2``
+    corner is filled from columns 0 and 1 by products of widths 1, 2, 4, ...,
+    ``_BLOCK``; each later block is one product of the corner's columns 0 to
+    ``_BLOCK`` with the column before it.  Every entry is a non-negative
+    combination of earlier entries with weights summing to 1, as in the Pascal
+    recurrence: nothing overflows at any size, and entries stay exact to
+    rounding.  An array of transmittances builds one kernel per element in the
+    same products, stacked on the leading axes; a scalar builds one 2-D kernel.
     """
     transmittance = np.asarray(transmittance, dtype=float)
     lead = transmittance.shape
-    first = min(size, _BLOCK + 1)
+    first = min(size, 2 * _BLOCK + 1)
     corner = np.zeros(lead + (first, first))
     corner[..., 0, 0] = 1.0
     if size > 1:
@@ -137,15 +144,14 @@ def binomial_thinning(
     dist: JointNumberDistribution, t_a: float, t_b: float
 ) -> JointNumberDistribution:
     """Thin each mode independently with intensity transmittances ``t_a, t_b``."""
-    for name, value in (("t_a", t_a), ("t_b", t_b)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    _check_unit_interval("t_a", t_a)
+    _check_unit_interval("t_b", t_b)
     size, thinned = dist.cutoff + 1, dist.probs
     if t_a != 1.0:  # a lossless mode is left as it is
         thinned = _thinning_kernel(size, t_a) @ thinned
     if t_b != 1.0:
         thinned = thinned @ _thinning_kernel(size, t_b).T  # mode b is the column index
-    return JointNumberDistribution(thinned)
+    return _holding(thinned)
 
 
 def _count_moments(size: int, transmittance) -> tuple[np.ndarray, np.ndarray]:

@@ -162,7 +162,11 @@ def _product(family: str, amplitudes, cutoff: int | None, tol: float,
 
     _check_tolerance(tol)
     s = tried[_cutoff(family, weight, cutoff, tol, start, lambda c: 2 * c)]
-    return FockCoefficients(np.outer(s, s))
+    nonzero = np.flatnonzero(s)  # (s (x) s)[n, m] is built only where s[n] and s[m] are not 0
+    values = np.multiply.outer(s[nonzero], s[nonzero]).ravel()
+    kept = values != 0  # a product that underflows to 0 is no entry, as in np.outer(s, s)
+    rows, cols = np.repeat(nonzero, nonzero.size)[kept], np.tile(nonzero, nonzero.size)[kept]
+    return FockCoefficients._entries(s.size, rows, cols, values[kept])
 
 
 def _check_tolerance(tol: float) -> None:

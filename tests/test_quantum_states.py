@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from plasmonq import quantum_states
 from plasmonq.quantum_states import (
     AmplitudeUnderflowError,
     CapacityError,
@@ -495,6 +496,46 @@ def test_complex_coherent_amplitude_builds_complex128_coefficients():
     assert state.coeffs.dtype == np.complex128
     assert state.coeffs[1, 0] == pytest.approx(alpha * math.exp(-abs(alpha) ** 2),
                                                abs=1e-15)
+
+
+PRODUCT_STATES = [
+    *((coherent_product, alpha)
+      for alpha in (1.0, -2.5, math.sqrt(20.0), 0.7 + 0.4j, -1.1j, 3.0 - 2.0j)),
+    *((squeezed_product, mean) for mean in (0.1, 0.5, 1.0, 2.0, 3.0, 4.35, 4.4)),
+    # s = (1, 1e-160, ~7e-321, 0, ...): s[1] s[2] and s[2] s[2] underflow to 0
+    (coherent_product, 1e-160),
+]
+
+
+@pytest.mark.parametrize("build, parameter", PRODUCT_STATES,
+                         ids=[f"{build.__name__}({p})" for build, p in PRODUCT_STATES])
+def test_a_product_state_holds_the_entries_of_the_dense_outer_product(build, parameter,
+                                                                      monkeypatch):
+    """``s (x) s`` from the nonzero amplitudes alone has the rows, columns,
+    values and dtype of ``FockCoefficients(np.outer(s, s))``, which drops every
+    product that underflows to 0."""
+    built = []
+
+    def product(family, amplitudes, *args):
+        state = real_product(family, amplitudes, *args)
+        built.append(amplitudes(state.cutoff))  # the same s the state was built from
+        return state
+
+    real_product = quantum_states._product
+    monkeypatch.setattr(quantum_states, "_product", product)
+    state = build(parameter)
+    dense = FockCoefficients(np.outer(built[0], built[0]))
+    assert state.size == dense.size
+    for name in ("rows", "cols", "values"):
+        got, want = getattr(state, name), getattr(dense, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert np.all(got == want), name
+    assert state.truncation_weight == dense.truncation_weight
+
+
+def test_an_underflowing_amplitude_product_is_no_entry():
+    state = coherent_product(1e-160)
+    assert len(state.values) == 6 and np.all(state.values != 0.0)
 
 
 @pytest.mark.parametrize("alpha", [1.3, -0.7, math.sqrt(48.0)])
