@@ -8,6 +8,7 @@ it, and writes figure-ready CSV or JSON records.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -212,8 +213,8 @@ def _index_range(args: argparse.Namespace) -> tuple[float, float]:
     return (floor if args.n_min is None else args.n_min, args.n_max)
 
 
-def _index_grid(args: argparse.Namespace) -> list[float]:
-    return np.linspace(*_index_range(args), args.n_steps).tolist()
+def _index_grid(args: argparse.Namespace) -> np.ndarray:
+    return np.linspace(*_index_range(args), args.n_steps)
 
 
 def _jsonable(value):
@@ -222,27 +223,54 @@ def _jsonable(value):
     return value
 
 
-def _cell_text(column: list):
-    """``map(str, column)``, calling ``str`` once per distinct object of ``column``.
-    Objects are told apart by ``id``, not by value: 0.0 and -0.0, or 2 and 2.0, are
-    equal but print differently."""
-    ids = list(map(id, column))
-    distinct = dict(zip(ids, column))
-    if len(distinct) == len(ids):
-        return map(str, column)
-    return map(dict(zip(distinct, map(str, distinct.values()))).__getitem__, ids)
+_ROWS = 256  # CSV rows formatted and written at a time: the text held stays small
 
 
-def _emit(args: argparse.Namespace, columns: dict[str, list]) -> None:
-    """Write ``columns`` (name to values) as CSV or JSON; no CSV cell is quoted."""
-    if args.format == "csv":
-        cells = zip(*map(_cell_text, columns.values()), strict=True)
-        text = "\n".join([",".join(columns), *map(",".join, cells), ""])
-    else:
-        values = [[_jsonable(v) for v in column] for column in columns.values()]
-        records = [dict(zip(columns, row)) for row in zip(*values, strict=True)]
-        text = json.dumps(records, indent=2, allow_nan=False) + "\n"
-    _write(args, text)
+def _plain(values):
+    """A list, or an array's values as Python objects."""
+    return values.tolist() if isinstance(values, np.ndarray) else values
+
+
+def _cell_memo(column) -> dict | None:
+    """``str`` of each distinct object of a list ``column``, keyed by ``id`` since equal
+    values can print differently (0.0 and -0.0, 2 and 2.0).  None where no object
+    repeats, and for an array: its items are fresh objects whose ids are reused."""
+    if isinstance(column, np.ndarray):
+        return None
+    distinct = dict(zip(map(id, column), column))
+    if len(distinct) == len(column):
+        return None
+    return dict(zip(distinct, map(str, distinct.values())))
+
+
+def _cells(column, memo: dict | None, start: int):
+    """``str`` of each value in rows ``start`` to ``start + _ROWS`` of ``column``."""
+    part = _plain(column[start:start + _ROWS])
+    return map(str, part) if memo is None else map(memo.__getitem__, map(id, part))
+
+
+def _output(args: argparse.Namespace):
+    """The output handle: ``sys.stdout`` as it is now, or the ``--out`` file."""
+    return (contextlib.nullcontext(sys.stdout) if args.out == "-"
+            else open(args.out, "w", encoding="utf-8"))
+
+
+def _emit(args: argparse.Namespace, columns: dict) -> None:
+    """Write ``columns`` (name to list or 1-D array) as CSV or JSON; no CSV cell is quoted."""
+    lengths = {len(column) for column in columns.values()}
+    if len(lengths) > 1:
+        raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
+    with _output(args) as out:
+        if args.format == "json":
+            values = [[_jsonable(v) for v in _plain(column)] for column in columns.values()]
+            records = [dict(zip(columns, row)) for row in zip(*values)]
+            out.write(json.dumps(records, indent=2, allow_nan=False) + "\n")
+            return
+        memos = list(map(_cell_memo, columns.values()))
+        out.write(",".join(columns) + "\n")
+        for start in range(0, max(lengths, default=0), _ROWS):
+            cells = zip(*[_cells(c, m, start) for c, m in zip(columns.values(), memos)])
+            out.write("\n".join(map(",".join, cells)) + "\n")
 
 
 def _note_if_empty(args: argparse.Namespace, thetas: list[float], rows) -> None:
@@ -252,22 +280,13 @@ def _note_if_empty(args: argparse.Namespace, thetas: list[float], rows) -> None:
                       f"the output holds {held}", stacklevel=3)
 
 
-def _write(args: argparse.Namespace, text: str) -> None:
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text, encoding="utf-8")
-
-
 def cmd_reflectance(args: argparse.Namespace) -> int:
     curves = args.n_analyte if args.n_analyte else (1.39, 1.395)
     thetas = _theta_grid(args)
     sensor = _sensor(args)
-    columns = {"n_analyte": [], "theta_deg": thetas * len(curves), "reflectance": []}
-    for n in curves:
-        columns["n_analyte"] += [n] * len(thetas)
-        columns["reflectance"] += (abs(reflection(sensor, thetas, n)) ** 2).tolist()
-    _emit(args, columns)
+    refl = np.concatenate([abs(reflection(sensor, thetas, n)) ** 2 for n in curves])
+    _emit(args, {"n_analyte": [n for n in curves for _ in thetas],
+                 "theta_deg": thetas * len(curves), "reflectance": refl})
     return 0
 
 
@@ -277,8 +296,7 @@ def cmd_index_sweep(args: argparse.Namespace) -> int:
     sensor = _sensor(args)
     refl = abs(reflection(sensor, args.theta, grid)) ** 2
     slopes = sensitivity(sensor, geom, grid, h=args.fd_step)
-    _emit(args, {"n_analyte": grid, "reflectance": refl.tolist(),
-                 "sensitivity": slopes.tolist()})
+    _emit(args, {"n_analyte": grid, "reflectance": refl, "sensitivity": slopes})
     return 0
 
 
@@ -296,7 +314,8 @@ def cmd_inflection(args: argparse.Namespace) -> int:
 def cmd_ratio(args: argparse.Namespace) -> int:
     stats = family_statistics("twin-fock" if args.state is None else args.state, args.photons)
     geom = IncidenceGeometry(args.theta)
-    pairs = metrology.sweep_ratio(_sensor(args), geom, _index_grid(args), stats, args.eta)
+    pairs = metrology.sweep_ratio(_sensor(args), geom, _index_grid(args).tolist(), stats,
+                                  args.eta)
     _emit(args, {"n_analyte": [n for n, _ in pairs], "R": [r for _, r in pairs]})
     return 0
 
@@ -405,7 +424,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
                  f"{dev:.3e} (tolerance {tol:.1e})\n"
                  for name, dev, tol, passed in zip(names, deviations, tolerances, ok)]
         lines.append("all checks passed\n" if all(ok) else "some checks FAILED\n")
-        _write(args, "".join(lines))
+        with _output(args) as out:
+            out.write("".join(lines))
     return 0 if all(ok) else 1
 
 

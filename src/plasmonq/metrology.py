@@ -337,17 +337,18 @@ def sweep_precision_vs_angle(
     """
     columns = _precision_columns(stack, theta_grid, states, n_photons, eta, n_range, h, tol,
                                  grid_points, stacklevel=4)
+    columns.update((name, columns[name].tolist()) for name in ("delta_n", "slope", "noise"))
     return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
 def _precision_columns(stack: Sensor, theta_grid, states, n_photons: float, eta: float,
                        n_range: tuple[float, float], h: float, tol: float, grid_points: int,
-                       stacklevel: int = 3) -> dict[str, list]:
+                       stacklevel: int = 3) -> dict:
     """The rows of :func:`sweep_precision_vs_angle` as columns, name to values.
 
-    An angle's ``theta_deg`` and ``n_inf`` are one object each, repeated
-    once per state.  Skipped angles are warned of ``stacklevel`` frames up
-    from :func:`_operating_points`: by default, at this function's caller.
+    ``delta_n``, ``slope`` and ``noise`` are arrays; an angle's ``theta_deg`` and ``n_inf``
+    are one object each, repeated once per state.  Skipped angles are warned of
+    ``stacklevel`` frames up from :func:`_operating_points`: by default, at the caller.
     """
     resolved: list[tuple[str, PhotonStatistics]] = []
     for item in states:
@@ -372,6 +373,5 @@ def _precision_columns(stack: Sensor, theta_grid, states, n_photons: float, eta:
         "state": [label for label, _ in resolved] * len(points),
         "N": [stats.mean_a for _, stats in resolved] * len(points),
         "eta": [eta] * (len(resolved) * len(points)),
-        **{name: column.ravel().tolist()
-           for name, column in zip(("delta_n", "slope", "noise"), values)},
+        **dict(zip(("delta_n", "slope", "noise"), values.reshape(3, -1))),
     }

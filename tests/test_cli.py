@@ -6,13 +6,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from plasmonq import cli
-from plasmonq.cli import _emit, main
+from plasmonq.cli import _ROWS, _emit, main
 from plasmonq.fresnel import FresnelSingularityError
 from plasmonq.fock_oracle import oracle_measurement
 from plasmonq.metrology import (STATE_NAMES, ChannelEfficiencies, DegenerateOperatingPointError,
@@ -613,46 +614,126 @@ def _reference_json(fieldnames, rows):
     return json.dumps(records, indent=2, allow_nan=False) + "\n"
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_emit_matches_the_per_row_writers(capsys, fmt):
-    size = max(len(EMIT_FLOATS), len(EMIT_INTS), len(STATE_NAMES))
+# Row counts around the edges of the chunks that CSV is written in.
+EMIT_SIZES = [0, 1, _ROWS - 1, _ROWS, _ROWS + 1, 2 * _ROWS + 1]
+# Values of a float64 array column, the kind a computed column holds.
+ARRAY_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1 + 0.2, 1e300,
+                -69.9695052537308]
 
+
+def _plain_rows(columns):
+    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    return [dict(zip(columns, row)) for row in zip(*values)]
+
+
+@pytest.mark.parametrize("size", EMIT_SIZES)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_matches_the_per_row_writers(capsys, fmt, size):
+    """List columns, whose objects repeat within and across chunks, and float64
+    array columns, mixed, at row counts around the chunk edges."""
     def cycle(values):
         return [values[i % len(values)] for i in range(size)]
 
-    table = {"value": cycle(EMIT_FLOATS), "count": cycle(EMIT_INTS),
-             "state": cycle(STATE_NAMES), "ok": cycle([True, False])}
+    angles = [float(i) / 7.0 for i in range(_ROWS + 3)]  # repeats _ROWS + 3 rows apart
+    columns = {"value": cycle(EMIT_FLOATS), "count": cycle(EMIT_INTS),
+               "state": cycle(STATE_NAMES), "ok": cycle([True, False]),
+               "angle": cycle(angles), "fresh": [i / 3.0 for i in range(size)],
+               "special": np.array(cycle(ARRAY_FLOATS)),
+               "grid": np.linspace(1.333, 1.4422, size)}
     reference = _reference_csv if fmt == "csv" else _reference_json
-    for columns in (table, {name: [] for name in table}):
-        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
-        _emit(argparse.Namespace(format=fmt, out="-"), columns)
-        assert capsys.readouterr().out == reference(list(columns), rows)
+    _emit(argparse.Namespace(format=fmt, out="-"), columns)
+    assert capsys.readouterr().out == reference(list(columns), _plain_rows(columns))
 
 
-def test_emit_formats_each_cell_as_str_does(capsys):
+@pytest.mark.parametrize("repeats", [1, _ROWS // 3 + 1])
+def test_emit_formats_each_cell_as_str_does(capsys, repeats):
     """CSV cells equal ``str`` of each value even where one object fills many
-    cells: equal values that print differently (0.0 and -0.0, 2 and 2.0) or
-    that are distinct objects stay apart.  The JSON text is unchanged."""
+    cells, in one chunk or several: equal values that print differently (0.0
+    and -0.0, 2 and 2.0) or that are distinct objects stay apart.  The JSON
+    text is unchanged."""
     shared, twin = 1.3847878755107959, float("1.3847878755107959")
     assert shared is not twin
     columns = {
-        "shared": [shared, twin, shared, shared, twin, 0.1 + 0.2],
-        "zeros": [0.0, -0.0, 0.0, -0.0, -0.0, 0.0],
-        "two": [2, 2.0, 2, 2.0, True, 1],
-        "special": [math.nan, math.inf, float("nan"), math.nan, -math.inf, math.inf],
-        "label": ["tmsv", "tmsv", "coherent", "tmsv", "tmsv", "coherent"],
-        "distinct": [float(i) / 7.0 for i in range(6)],
+        "shared": [shared, twin, shared, shared, twin, 0.1 + 0.2] * repeats,
+        "zeros": [0.0, -0.0, 0.0, -0.0, -0.0, 0.0] * repeats,
+        "two": [2, 2.0, 2, 2.0, True, 1] * repeats,
+        "special": [math.nan, math.inf, float("nan"), math.nan, -math.inf, math.inf] * repeats,
+        "label": ["tmsv", "tmsv", "coherent", "tmsv", "tmsv", "coherent"] * repeats,
+        "distinct": [float(i) / 7.0 for i in range(6 * repeats)],
+        "array": np.array([-0.0, 0.0, 5e-324, math.nan, -math.inf, 0.5] * repeats),
     }
-    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
-    plain = "\n".join([",".join(columns), *(",".join(map(str, row))
-                                            for row in zip(*columns.values())), ""])
+    rows = _plain_rows(columns)
+    plain = "\n".join([",".join(columns), *(",".join(map(str, row.values())) for row in rows),
+                       ""])
     _emit(argparse.Namespace(format="csv", out="-"), columns)
     out = capsys.readouterr().out
     assert out == plain == _reference_csv(list(columns), rows)
-    assert out.splitlines()[1:3] == ["1.3847878755107959,0.0,2,nan,tmsv,0.0",
-                                     "1.3847878755107959,-0.0,2.0,inf,tmsv,0.14285714285714285"]
+    assert out.splitlines()[1:3] == ["1.3847878755107959,0.0,2,nan,tmsv,0.0,-0.0",
+                                     "1.3847878755107959,-0.0,2.0,inf,tmsv,0.14285714285714285,0.0"]
     _emit(argparse.Namespace(format="json", out="-"), columns)
     assert capsys.readouterr().out == _reference_json(list(columns), rows)
+
+
+def test_an_array_column_prints_its_own_values(capsys):
+    """Iterating an array makes a temporary object per value, and their ids are
+    reused, so telling an array's cells apart by ``id`` would print one value
+    in another's cell."""
+    values = np.arange(2 * _ROWS + 1) / 7.0
+    _emit(argparse.Namespace(format="csv", out="-"), {"x": values, "y": -values})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["x,y", *(f"{x},{-x}" for x in values.tolist())]
+
+
+@pytest.mark.parametrize("out", ["-", "file"])
+def test_columns_of_unequal_lengths_write_nothing(tmp_path, capsys, out):
+    path = tmp_path / "out.csv"
+    args = argparse.Namespace(format="csv", out="-" if out == "-" else str(path))
+    with pytest.raises(ValueError, match="unequal lengths"):
+        _emit(args, {"a": [1.0, 2.0], "b": np.zeros(_ROWS + 1)})
+    assert capsys.readouterr().out == "" and not path.exists()
+
+
+OUT_ARGVS = [FAST_REFLECTANCE, ["index-sweep", "--n-steps", str(2 * _ROWS + 1)],
+             ["inflection", "--theta-steps", "4"], ["ratio", "--n-steps", "9"],
+             ["precision", "--theta-steps", "4"], ["validate"]]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", OUT_ARGVS, ids=[argv[0] for argv in OUT_ARGVS])
+def test_out_file_holds_the_bytes_of_stdout(tmp_path, capsys, argv, fmt):
+    code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+    path = tmp_path / "out"
+    assert main([*argv, "--format", fmt, "--out", str(path)]) == code == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == out.encode()
+
+
+def _traced_emit_mb(args, columns) -> float:
+    """The tracemalloc peak of ``_emit`` in MB, above the memory live before it."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        _emit(args, columns)
+        return (tracemalloc.get_traced_memory()[1] - base) / 1e6
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
+def test_csv_output_holds_no_table_of_text(tmp_path):
+    """Writing a 50,000-row table of three float64 columns to a file holds one
+    chunk of text at a time, not the table's 3 MB of text (8.1 MB as lists)."""
+    rows = 50_000
+    grid = np.linspace(1.333, 1.4422, rows)
+    columns = {"n_analyte": grid, "reflectance": np.sin(grid), "sensitivity": np.cos(grid)}
+    args = argparse.Namespace(format="csv", out=str(tmp_path / "sweep.csv"))
+    _emit(args, {name: column[:3] for name, column in columns.items()})  # warm up
+    assert _traced_emit_mb(args, columns) < 0.5
+    with open(args.out, encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == rows + 1
 
 
 HELP_LINES = {

@@ -479,8 +479,9 @@ def test_sweep_rows_equal_precision_at_their_operating_points(monkeypatch):
 
 
 def test_precision_columns_are_the_sweep_rows_with_one_object_per_angle():
-    """The columns ``plasmonq precision`` writes hold the sweep's rows, and an
-    angle's ``theta_deg`` and ``n_inf`` are one object over its states."""
+    """The columns ``plasmonq precision`` writes hold the sweep's rows, an
+    angle's ``theta_deg`` and ``n_inf`` are one object over its states, and the
+    computed columns are float arrays while the sweep's rows hold Python floats."""
     stack = make_stack()
     thetas = [70.0, 73.0, 76.0, 79.0]
     states = ["coherent", "twin-fock", ("mine", statistics(twin_fock(2)))]
@@ -492,8 +493,12 @@ def test_precision_columns_are_the_sweep_rows_with_one_object_per_angle():
     for name in ("theta_deg", "n_inf"):
         column = columns[name]
         assert all(column[i] is column[i - i % 3] for i in range(len(column)))
-    assert metrology._precision_columns(stack, thetas, [], 1.0, 1.0, (1.30, 1.4422), 1e-6,
-                                        1e-9, 2001) == {name: [] for name in columns}
+    for name in ("delta_n", "slope", "noise"):
+        assert columns[name].dtype == np.float64 and columns[name].ndim == 1
+        assert all(type(row[name]) is float for row in rows)
+    empty = metrology._precision_columns(stack, thetas, [], 1.0, 1.0, (1.30, 1.4422), 1e-6,
+                                         1e-9, 2001)
+    assert {name: len(column) for name, column in empty.items()} == dict.fromkeys(columns, 0)
 
 
 def test_skipped_angles_are_warned_of_at_the_sweeps_caller():
